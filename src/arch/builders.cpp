@@ -319,30 +319,32 @@ registerTopologyFamily(TopologyFamily family)
     fatalUnless(!family.name.empty(),
                 "topology family needs a non-empty name");
     for (const char c : family.name)
-        fatalUnless(std::islower(static_cast<unsigned char>(c)) != 0,
-                    "topology family name must be a lowercase word: '" +
-                        family.name + "'");
+        if (std::islower(static_cast<unsigned char>(c)) == 0)
+            throw ConfigError(
+                "topology family name must be a lowercase word: '" +
+                family.name + "'");
     fatalUnless(family.name != "topo",
                 "'topo' is reserved for .topo file specs");
-    fatalUnless(family.arity >= 1,
-                "topology family '" + family.name +
-                    "' must take at least one size");
-    fatalUnless(family.build != nullptr,
-                "topology family '" + family.name + "' has no builder");
+    if (family.arity < 1)
+        throw ConfigError("topology family '" + family.name +
+                          "' must take at least one size");
+    if (family.build == nullptr)
+        throw ConfigError("topology family '" + family.name +
+                          "' has no builder");
     if (family.shortForm != 0)
         fatalUnless(std::islower(static_cast<unsigned char>(
                         family.shortForm)) != 0,
                     "topology family short form must be a lowercase "
                     "letter");
     for (const TopologyFamily &existing : familiesMutable()) {
-        fatalUnless(existing.name != family.name,
-                    "topology family '" + family.name +
-                        "' is already registered");
-        fatalUnless(family.shortForm == 0 ||
-                        existing.shortForm != family.shortForm,
-                    "topology family short form '" +
-                        std::string(1, family.shortForm) +
-                        "' is already taken by '" + existing.name + "'");
+        if (existing.name == family.name)
+            throw ConfigError("topology family '" + family.name +
+                              "' is already registered");
+        if (family.shortForm != 0 && existing.shortForm == family.shortForm)
+            throw ConfigError("topology family short form '" +
+                              std::string(1, family.shortForm) +
+                              "' is already taken by '" + existing.name +
+                              "'");
     }
     familiesMutable().push_back(std::move(family));
 }

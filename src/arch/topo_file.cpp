@@ -196,13 +196,15 @@ loadTopoFile(const std::string &path, int default_capacity)
     // nothing, which would surface as a misleading "topology has no
     // traps" — reject non-files up front.
     std::error_code ec;
-    fatalUnless(std::filesystem::is_regular_file(path, ec) && !ec,
-                "cannot read topology file '" + path + "'");
+    if (!std::filesystem::is_regular_file(path, ec) || ec)
+        throw ConfigError("cannot read topology file '" + path + "'");
     std::ifstream in(path);
-    fatalUnless(in.good(), "cannot read topology file '" + path + "'");
+    if (!in.good())
+        throw ConfigError("cannot read topology file '" + path + "'");
     std::ostringstream text;
     text << in.rdbuf();
-    fatalUnless(!in.bad(), "error reading topology file '" + path + "'");
+    if (in.bad())
+        throw ConfigError("error reading topology file '" + path + "'");
     return parseTopo(text.str(), path, default_capacity);
 }
 

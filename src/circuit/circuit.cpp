@@ -15,16 +15,16 @@ void
 Circuit::add(const Gate &gate)
 {
     const int arity = opArity(gate.op);
-    if (arity >= 1) {
-        fatalUnless(gate.q0 >= 0 && gate.q0 < numQubits_,
-                    "gate operand q0 out of range in " + gate.toString());
-    }
+    if (arity >= 1 && !(gate.q0 >= 0 && gate.q0 < numQubits_)) [[unlikely]]
+        throw ConfigError("gate operand q0 out of range in " +
+                          gate.toString());
     if (arity == 2) {
-        fatalUnless(gate.q1 >= 0 && gate.q1 < numQubits_,
-                    "gate operand q1 out of range in " + gate.toString());
-        fatalUnless(gate.q0 != gate.q1,
-                    "two-qubit gate operands must differ in " +
-                    gate.toString());
+        if (!(gate.q1 >= 0 && gate.q1 < numQubits_)) [[unlikely]]
+            throw ConfigError("gate operand q1 out of range in " +
+                              gate.toString());
+        if (gate.q0 == gate.q1) [[unlikely]]
+            throw ConfigError("two-qubit gate operands must differ in " +
+                              gate.toString());
     }
     gates_.push_back(gate);
 }

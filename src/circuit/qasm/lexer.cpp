@@ -1,6 +1,7 @@
 #include "circuit/qasm/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -57,6 +58,13 @@ tokenKindName(TokenKind kind)
       case TokenKind::EndOfFile: return "end of file";
     }
     throw InternalError("unknown TokenKind");
+}
+
+void
+failAt(int line, int column, const std::string &msg)
+{
+    throw ConfigError("QASM parse error at line " + std::to_string(line) +
+                      ", column " + std::to_string(column) + ": " + msg);
 }
 
 std::vector<Token>
@@ -131,11 +139,20 @@ tokenize(const std::string &source)
                     break;
                 }
             }
-            std::string text = source.substr(i, j - i);
+            // The whole lexeme must be one number: from_chars gives the
+            // same correctly rounded double strtod does, but reports a
+            // partial parse (`1.2.3`, `1e`) and overflow instead of
+            // truncating or throwing std::out_of_range.
+            const char *first = source.data() + i;
+            const char *last = source.data() + j;
             Token t = make(real ? TokenKind::Real : TokenKind::Integer,
-                           text);
-            t.numValue = std::stod(text);
-            tokens.push_back(t);
+                           std::string(first, last));
+            const auto [ptr, ec] = std::from_chars(first, last, t.numValue);
+            if (ec == std::errc::result_out_of_range) [[unlikely]]
+                failAt(line, col, "number '" + t.text + "' is out of range");
+            if (ec != std::errc() || ptr != last) [[unlikely]]
+                failAt(line, col, "malformed number '" + t.text + "'");
+            tokens.push_back(std::move(t));
             advance(j - i);
             continue;
         }
@@ -143,8 +160,9 @@ tokenize(const std::string &source)
             size_t j = i + 1;
             while (j < n && source[j] != '"')
                 ++j;
-            fatalUnless(j < n, "unterminated string literal at line " +
-                        std::to_string(line));
+            if (j == n)
+                throw ConfigError("unterminated string literal at line " +
+                                  std::to_string(line));
             tokens.push_back(make(TokenKind::StringLit,
                                   source.substr(i + 1, j - i - 1)));
             advance(j - i + 1);

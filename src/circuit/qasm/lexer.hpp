@@ -48,12 +48,20 @@ struct Token
 /**
  * Tokenize @p source.
  *
- * @throws ConfigError with line/column info on illegal characters.
+ * @throws ConfigError with line/column info on illegal characters and
+ *         on number literals that are malformed (`1.2.3`, `1e`) or out
+ *         of double range (`1e999`).
  */
 std::vector<Token> tokenize(const std::string &source);
 
 /** Printable name of a token kind (for error messages). */
 std::string tokenKindName(TokenKind kind);
+
+/**
+ * Throw the ConfigError every positioned QASM diagnostic uses:
+ * "QASM parse error at line L, column C: msg".
+ */
+[[noreturn]] void failAt(int line, int column, const std::string &msg);
 
 } // namespace qccd::qasm
 

@@ -2,9 +2,11 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <numbers>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -55,7 +57,7 @@ class Parser
     size_t pos_ = 0;
     std::string circuitName_;
     std::map<std::string, Register> qregs_;
-    std::map<std::string, Register> cregs_;
+    std::set<std::string> cregs_; ///< classical bits are not modeled
     std::unordered_map<std::string, MacroDef> macros_;
     int totalQubits_ = 0;
 
@@ -64,10 +66,7 @@ class Parser
 
     [[noreturn]] void fail(const std::string &msg) const
     {
-        std::ostringstream out;
-        out << "QASM parse error at line " << peek().line << ", column "
-            << peek().column << ": " << msg;
-        throw ConfigError(out.str());
+        failAt(peek().line, peek().column, msg);
     }
 
     Token expect(TokenKind kind)
@@ -211,9 +210,19 @@ Parser::parseQreg()
     const Token size = expect(TokenKind::Integer);
     expect(TokenKind::RBracket);
     expect(TokenKind::Semicolon);
-    fatalUnless(!qregs_.count(name), "duplicate qreg '" + name + "'");
+    if (qregs_.count(name))
+        throw ConfigError("duplicate qreg '" + name + "'");
+    if (size.numValue <= 0)
+        throw ConfigError("qreg '" + name + "' must have positive size");
+    // Range-check in double before narrowing: the flat qubit index
+    // space must stay within int.
+    constexpr int kMaxQubits = std::numeric_limits<int>::max();
+    if (size.numValue > kMaxQubits - totalQubits_)
+        failAt(size.line, size.column,
+               "qreg '" + name + "' of size " + size.text +
+                   " takes the program past " + std::to_string(kMaxQubits) +
+                   " qubits");
     const int n = static_cast<int>(size.numValue);
-    fatalUnless(n > 0, "qreg '" + name + "' must have positive size");
     qregs_[name] = {totalQubits_, n};
     totalQubits_ += n;
 }
@@ -224,11 +233,11 @@ Parser::parseCreg()
     expect(TokenKind::Keyword); // creg
     const std::string name = expect(TokenKind::Identifier).text;
     expect(TokenKind::LBracket);
-    const Token size = expect(TokenKind::Integer);
+    expect(TokenKind::Integer);
     expect(TokenKind::RBracket);
     expect(TokenKind::Semicolon);
-    fatalUnless(!cregs_.count(name), "duplicate creg '" + name + "'");
-    cregs_[name] = {0, static_cast<int>(size.numValue)};
+    if (!cregs_.insert(name).second)
+        throw ConfigError("duplicate creg '" + name + "'");
 }
 
 void
@@ -248,9 +257,10 @@ Parser::parseGateDef()
         expect(TokenKind::RParen);
     }
     def.numParams = static_cast<int>(param_names.size());
-    fatalUnless(def.numParams == 0,
-                "parameterized user gates are not supported (gate '" +
-                name + "'); inline the angles instead");
+    if (def.numParams != 0)
+        throw ConfigError(
+            "parameterized user gates are not supported (gate '" + name +
+            "'); inline the angles instead");
 
     std::vector<std::string> qubit_names;
     qubit_names.push_back(expect(TokenKind::Identifier).text);
@@ -340,11 +350,12 @@ Parser::parseQubitOperand()
     if (accept(TokenKind::LBracket)) {
         const Token idx = expect(TokenKind::Integer);
         expect(TokenKind::RBracket);
-        const int k = static_cast<int>(idx.numValue);
-        if (k < 0 || k >= reg.size)
-            fail("index " + std::to_string(k) + " out of range for qreg '" +
-                 name + "'");
-        return {reg.offset + k};
+        // Integer literals are unsigned, so only the upper bound can
+        // fail; check it before narrowing.
+        if (idx.numValue >= reg.size)
+            fail("index " + idx.text + " out of range for qreg '" + name +
+                 "'");
+        return {reg.offset + static_cast<int>(idx.numValue)};
     }
     std::vector<QubitId> all(reg.size);
     for (int k = 0; k < reg.size; ++k)
@@ -520,7 +531,8 @@ Circuit
 parseFile(const std::string &path)
 {
     std::ifstream in(path);
-    fatalUnless(in.good(), "cannot open QASM file '" + path + "'");
+    if (!in.good())
+        throw ConfigError("cannot open QASM file '" + path + "'");
     std::ostringstream buf;
     buf << in.rdbuf();
     std::string base = path;

@@ -68,9 +68,11 @@ void
 writeFile(const Circuit &circuit, const std::string &path)
 {
     std::ofstream out(path);
-    fatalUnless(out.good(), "cannot write QASM file '" + path + "'");
+    if (!out.good())
+        throw ConfigError("cannot write QASM file '" + path + "'");
     out << write(circuit);
-    fatalUnless(out.good(), "error while writing QASM file '" + path + "'");
+    if (!out.good())
+        throw ConfigError("error while writing QASM file '" + path + "'");
 }
 
 } // namespace qccd::qasm

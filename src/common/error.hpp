@@ -57,18 +57,28 @@ class TimeoutError : public QccdError
 [[noreturn]] void raiseInternalError(const char *msg);
 /** @} */
 
+/*
+ * Checks. A check must cost nothing but its branch when it passes, so
+ * its message may only be built once it has failed:
+ *
+ *   - a literal message goes through fatalUnless / panicUnless below,
+ *     which compile to a predicted branch plus a pointer;
+ *   - a composed message (`+`, std::to_string, Gate::toString, ...) is
+ *     written as `if (!(ok)) throw ConfigError(msg);` (or
+ *     InternalError), so the string is built on the failure path only.
+ *     Checks run per gate, per token or per design point also mark the
+ *     branch `[[unlikely]]`.
+ *
+ * The std::string overloads would build the message before the call,
+ * on every success. They are deprecated, so under the tree's -Werror
+ * any such call is a build break.
+ */
+
 /**
  * Throw ConfigError when a user-facing precondition fails.
  *
  * @param ok condition that must hold
  * @param msg description of the failure, shown to the user
- */
-void fatalUnless(bool ok, const std::string &msg);
-
-/**
- * Literal-message overload: checks in hot loops compile to a predicted
- * branch plus a pointer, instead of materializing a std::string (a heap
- * allocation) per call even when the condition holds.
  */
 inline void
 fatalUnless(bool ok, const char *msg)
@@ -83,15 +93,22 @@ fatalUnless(bool ok, const char *msg)
  * @param ok condition that must hold
  * @param msg description of the violated invariant
  */
-void panicUnless(bool ok, const std::string &msg);
-
-/** Literal-message overload (see fatalUnless above). */
 inline void
 panicUnless(bool ok, const char *msg)
 {
     if (!ok) [[unlikely]]
         raiseInternalError(msg);
 }
+
+/** Eager-message overloads, kept only for perfbench/tracer.cpp, which
+ *  builds outside the -Werror warning set; remove with its last call. @{ */
+[[deprecated("builds the message on success; write "
+             "`if (!(ok)) throw ConfigError(msg);`")]]
+void fatalUnless(bool ok, const std::string &msg);
+[[deprecated("builds the message on success; write "
+             "`if (!(ok)) throw InternalError(msg);`")]]
+void panicUnless(bool ok, const std::string &msg);
+/** @} */
 
 /*
  * Checked-build contract layer.

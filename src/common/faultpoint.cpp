@@ -94,9 +94,9 @@ parseSpec(const std::string &spec)
         }
 
         const size_t eq = directive.find('=');
-        fatalUnless(eq != std::string::npos && eq > 0,
-                    "fault directive must be SITE=N[:KIND]; got '" +
-                        directive + "'");
+        if (eq == std::string::npos || eq == 0)
+            throw ConfigError("fault directive must be SITE=N[:KIND]; got '" +
+                              directive + "'");
         const std::string site = directive.substr(0, eq);
         std::string count_text = directive.substr(eq + 1);
         FaultKind kind = FaultKind::Throw;
@@ -109,8 +109,9 @@ parseSpec(const std::string &spec)
         bool known = false;
         for (const std::string &name : faultSiteNames())
             known = known || name == site;
-        fatalUnless(known, "unknown fault site '" + site +
-                               "' (see faultSiteNames())");
+        if (!known)
+            throw ConfigError("unknown fault site '" + site +
+                              "' (see faultSiteNames())");
 
         size_t used = 0;
         unsigned long trigger = 0;
@@ -119,10 +120,9 @@ parseSpec(const std::string &spec)
         } catch (const std::exception &) {
             used = 0;
         }
-        fatalUnless(used == count_text.size() && used > 0 &&
-                        trigger >= 1,
-                    "fault trigger must be a positive hit count; got "
-                    "'" + directive + "'");
+        if (used != count_text.size() || used == 0 || trigger < 1)
+            throw ConfigError("fault trigger must be a positive hit count; "
+                              "got '" + directive + "'");
 
         ArmedSite armed;
         armed.site = site;
@@ -220,8 +220,8 @@ void
 setFaultInjectSpec(const std::string &spec)
 {
     std::vector<ArmedSite> parsed = parseSpec(spec);
-    fatalUnless(!parsed.empty(),
-                "fault spec '" + spec + "' arms no sites");
+    if (parsed.empty())
+        throw ConfigError("fault spec '" + spec + "' arms no sites");
     const std::lock_guard<std::mutex> lock(armedMutex());
     detail::faultInjectArmed.store(false, std::memory_order_relaxed);
     armedSites().clear();

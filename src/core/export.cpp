@@ -252,9 +252,11 @@ void
 writeTextFile(const std::string &text, const std::string &path)
 {
     std::ofstream out(path);
-    fatalUnless(out.good(), "cannot write file '" + path + "'");
+    if (!out.good())
+        throw ConfigError("cannot write file '" + path + "'");
     out << text;
-    fatalUnless(out.good(), "error writing file '" + path + "'");
+    if (!out.good())
+        throw ConfigError("error writing file '" + path + "'");
 }
 
 void
@@ -263,13 +265,15 @@ replaceTextFileAtomic(const std::string &text, const std::string &path)
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::trunc);
-        fatalUnless(out.good(), "cannot write file '" + tmp + "'");
+        if (!out.good())
+            throw ConfigError("cannot write file '" + tmp + "'");
         out << text;
         out.flush();
-        fatalUnless(out.good(), "error writing file '" + tmp + "'");
+        if (!out.good())
+            throw ConfigError("error writing file '" + tmp + "'");
     }
-    fatalUnless(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot rename '" + tmp + "' over '" + path + "'");
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        throw ConfigError("cannot rename '" + tmp + "' over '" + path + "'");
 }
 
 } // namespace qccd

@@ -113,7 +113,8 @@ readFileBytes(const std::string &path, std::string *out)
         return false;
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    fatalUnless(!in.bad(), "error reading result cache '" + path + "'");
+    if (in.bad())
+        throw ConfigError("error reading result cache '" + path + "'");
     *out = buffer.str();
     return true;
 }
@@ -270,15 +271,15 @@ ResultStore::acquireLock()
             const ssize_t wrote =
                 ::write(fd, pid.data(), pid.size());
             ::close(fd);
-            fatalUnless(wrote == static_cast<ssize_t>(pid.size()),
-                        "cannot write result cache lock '" + lockPath_ +
-                            "'");
+            if (wrote != static_cast<ssize_t>(pid.size()))
+                throw ConfigError("cannot write result cache lock '" +
+                                  lockPath_ + "'");
             lockHeld_ = true;
             return;
         }
-        fatalUnless(errno == EEXIST,
-                    "cannot create result cache lock '" + lockPath_ +
-                        "'");
+        if (errno != EEXIST)
+            throw ConfigError("cannot create result cache lock '" +
+                              lockPath_ + "'");
 
         // Somebody holds it. A dead owner's lock is stale: SIGKILL
         // cannot run destructors, so takeover is the only way a
@@ -293,17 +294,17 @@ ResultStore::acquireLock()
         const bool alive =
             owner > 0 && (::kill(static_cast<pid_t>(owner), 0) == 0 ||
                           errno == EPERM);
-        fatalUnless(!alive,
-                    "result cache '" + path_ +
-                        "' is locked by running process " +
-                        std::to_string(owner) + "; remove '" +
-                        lockPath_ + "' if that is wrong");
+        if (alive)
+            throw ConfigError("result cache '" + path_ +
+                              "' is locked by running process " +
+                              std::to_string(owner) + "; remove '" +
+                              lockPath_ + "' if that is wrong");
         // Stale (dead pid or unreadable): take it over and retry the
         // exclusive create — a race loser just loops again.
         ::unlink(lockPath_.c_str());
     }
-    fatalUnless(false, "cannot acquire result cache lock '" +
-                           lockPath_ + "' (retries exhausted)");
+    throw ConfigError("cannot acquire result cache lock '" + lockPath_ +
+                      "' (retries exhausted)");
 }
 
 void
@@ -324,22 +325,21 @@ ResultStore::recoverAndLoad()
                              std::ios::binary | std::ios::trunc);
         create << freshHeader();
         create.flush();
-        fatalUnless(create.good(),
-                    "cannot create result cache '" + path_ + "'");
+        if (!create.good())
+            throw ConfigError("cannot create result cache '" + path_ + "'");
     } else {
         const ResultStoreScan scan = scanResultStore(bytes);
-        fatalUnless(scan.magicOk || scan.headerTorn,
-                    "'" + path_ +
-                        "' is not a qccd result cache (bad magic)");
-        if (!scan.headerTorn)
-            fatalUnless(
-                scan.versionOk,
+        if (!scan.magicOk && !scan.headerTorn)
+            throw ConfigError("'" + path_ +
+                              "' is not a qccd result cache (bad magic)");
+        if (!scan.headerTorn && !scan.versionOk)
+            throw ConfigError(
                 "result cache '" + path_ + "' has schema version " +
-                    std::to_string(scan.version) +
-                    "; this build reads and writes version " +
-                    std::to_string(kSchemaVersion) +
-                    " — point --cache at a fresh file (or delete this "
-                    "one) to recompute");
+                std::to_string(scan.version) +
+                "; this build reads and writes version " +
+                std::to_string(kSchemaVersion) +
+                " — point --cache at a fresh file (or delete this "
+                "one) to recompute");
 
         for (const ScannedResultRecord &record : scan.records) {
             RunResult result;
@@ -368,9 +368,9 @@ ResultStore::recoverAndLoad()
                                      defect.length)
                         << "\n";
                 quarantine.flush();
-                fatalUnless(quarantine.good(),
-                            "cannot write quarantine sidecar '" +
-                                path_ + ".quarantine'");
+                if (!quarantine.good())
+                    throw ConfigError("cannot write quarantine sidecar '" +
+                                      path_ + ".quarantine'");
             }
             std::string compacted = freshHeader();
             for (const ScannedResultRecord &record : scan.records) {
@@ -385,9 +385,9 @@ ResultStore::recoverAndLoad()
     }
 
     out_.open(path_, std::ios::binary | std::ios::app);
-    fatalUnless(out_.good(),
-                "cannot open result cache '" + path_ +
-                    "' for appending");
+    if (!out_.good())
+        throw ConfigError("cannot open result cache '" + path_ +
+                          "' for appending");
 }
 
 std::optional<RunResult>
@@ -419,8 +419,8 @@ ResultStore::insert(const Digest128 &key, const RunResult &result)
                static_cast<std::streamsize>(frame.size()));
     QCCD_FAULT_POINT("cache.commit");
     out_.flush();
-    fatalUnless(out_.good(),
-                "cannot append to result cache '" + path_ + "'");
+    if (!out_.good())
+        throw ConfigError("cannot append to result cache '" + path_ + "'");
     index_.emplace(key, result);
     ++stats_.inserts;
 }
@@ -441,9 +441,9 @@ ResultStore::keyFor(const DesignPoint &design,
         const std::string file =
             design.topologySpec.substr(topo_prefix.size());
         std::string bytes;
-        fatalUnless(readFileBytes(file, &bytes),
-                    "cannot read topology file '" + file +
-                        "' for the cache key");
+        if (!readFileBytes(file, &bytes)) [[unlikely]]
+            throw ConfigError("cannot read topology file '" + file +
+                              "' for the cache key");
         hash.str(bytes);
     }
     hash.i64(design.trapCapacity);

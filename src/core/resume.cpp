@@ -71,7 +71,8 @@ loadHealedLines(const std::string &path, bool *existed)
         return "";
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    fatalUnless(!in.bad(), "error reading '" + path + "'");
+    if (in.bad())
+        throw ConfigError("error reading '" + path + "'");
     std::string content = buffer.str();
     in.close();
 
@@ -100,10 +101,10 @@ analyzeResume(const std::string &out_path, bool with_header,
     std::vector<std::string> csv_lines = nonEmptyLines(csv);
     state.csvEmpty = csv_lines.empty();
     if (with_header && !csv_lines.empty()) {
-        fatalUnless(csv_lines.front() == sweepCsvHeader(),
-                    "cannot resume '" + out_path +
-                        "': its header does not match the sweep CSV "
-                        "format");
+        if (csv_lines.front() != sweepCsvHeader())
+            throw ConfigError("cannot resume '" + out_path +
+                              "': its header does not match the sweep "
+                              "CSV format");
         csv_lines.erase(csv_lines.begin());
     }
     state.csvRows = csv_lines.size();
@@ -116,58 +117,61 @@ analyzeResume(const std::string &out_path, bool with_header,
         loadHealedLines(errors_path, &errors_existed);
     std::vector<std::string> error_lines = nonEmptyLines(errors);
     if (!error_lines.empty()) {
-        fatalUnless(error_lines.front() == sweepErrorsHeader(),
-                    "cannot resume '" + out_path + "': sidecar '" +
-                        errors_path +
-                        "' does not have the .errors header");
+        if (error_lines.front() != sweepErrorsHeader())
+            throw ConfigError("cannot resume '" + out_path +
+                              "': sidecar '" + errors_path +
+                              "' does not have the .errors header");
         error_lines.erase(error_lines.begin());
     }
-    fatalUnless(error_lines.empty() || keep_going,
-                "cannot resume '" + out_path + "': '" + errors_path +
-                    "' records failed points; rerun with --keep-going");
-    fatalUnless(error_lines.empty() || !state.csvEmpty || !with_header ||
-                    csv_existed,
-                "cannot resume '" + out_path + "': the CSV is missing "
-                "but its .errors sidecar records failures");
+    if (!error_lines.empty() && !keep_going)
+        throw ConfigError("cannot resume '" + out_path + "': '" +
+                          errors_path +
+                          "' records failed points; rerun with "
+                          "--keep-going");
+    if (!error_lines.empty() && state.csvEmpty && with_header &&
+        !csv_existed)
+        throw ConfigError("cannot resume '" + out_path +
+                          "': the CSV is missing but its .errors sidecar "
+                          "records failures");
 
     for (const std::string &line : error_lines) {
         const std::vector<std::string> fields = leadingFields(line, 4);
-        fatalUnless(fields.size() == 4,
-                    "cannot resume '" + out_path + "': malformed "
-                    "sidecar row '" + line + "'");
+        if (fields.size() != 4)
+            throw ConfigError("cannot resume '" + out_path +
+                              "': malformed sidecar row '" + line + "'");
         size_t absolute = 0;
         const char *begin = fields[0].data();
         const char *end = begin + fields[0].size();
         const auto [ptr, ec] = std::from_chars(begin, end, absolute);
-        fatalUnless(ec == std::errc() && ptr == end,
-                    "cannot resume '" + out_path + "': sidecar row "
-                    "index '" + fields[0] + "' is not a number");
-        fatalUnless(absolute >= slice_first &&
-                        absolute - slice_first < slice.size(),
-                    "cannot resume '" + out_path + "': sidecar index " +
-                        fields[0] +
-                        " is outside this sweep shard's points");
+        if (ec != std::errc() || ptr != end)
+            throw ConfigError("cannot resume '" + out_path +
+                              "': sidecar row index '" + fields[0] +
+                              "' is not a number");
+        if (absolute < slice_first || absolute - slice_first >= slice.size())
+            throw ConfigError("cannot resume '" + out_path +
+                              "': sidecar index " + fields[0] +
+                              " is outside this sweep shard's points");
         const size_t rel = absolute - slice_first;
-        fatalUnless(state.failedIndices.empty() ||
-                        rel > state.failedIndices.back(),
-                    "cannot resume '" + out_path + "': sidecar indices "
-                    "are not strictly increasing");
+        if (!state.failedIndices.empty() &&
+            rel <= state.failedIndices.back())
+            throw ConfigError("cannot resume '" + out_path +
+                              "': sidecar indices are not strictly "
+                              "increasing");
         const std::string expect = plannedKey(slice[rel]);
         const std::string got =
             rowKey({fields[1], fields[2], fields[3]});
-        fatalUnless(got == expect,
-                    "cannot resume '" + out_path + "': sidecar row (" +
-                        got + ") does not match the planned point (" +
-                        expect + ") at index " + fields[0]);
+        if (got != expect)
+            throw ConfigError("cannot resume '" + out_path +
+                              "': sidecar row (" + got +
+                              ") does not match the planned point (" +
+                              expect + ") at index " + fields[0]);
         state.failedIndices.push_back(rel);
     }
 
     state.done = state.csvRows + state.failedIndices.size();
-    fatalUnless(state.done <= slice.size(),
-                "cannot resume '" + out_path +
-                    "': it has more rows than this sweep" +
-                    (slice_first > 0 || slice.size() > 0 ? "" : "") +
-                    " produces");
+    if (state.done > slice.size())
+        throw ConfigError("cannot resume '" + out_path +
+                          "': it has more rows than this sweep produces");
 
     // Verify the completed prefix row by row: every planned point up
     // to `done` must appear either as the next CSV data row or as a
@@ -181,18 +185,20 @@ analyzeResume(const std::string &out_path, bool with_header,
             ++next_failed; // verified against the sidecar above
             continue;
         }
-        fatalUnless(next_csv < csv_lines.size(),
-                    "cannot resume '" + out_path + "': recorded "
-                    "failures extend past the completed rows");
+        if (next_csv >= csv_lines.size()) [[unlikely]]
+            throw ConfigError("cannot resume '" + out_path +
+                              "': recorded failures extend past the "
+                              "completed rows");
         const std::vector<std::string> fields =
             leadingFields(csv_lines[next_csv], 3);
         const std::string expect = plannedKey(slice[i]);
         const std::string got = rowKey(fields);
-        fatalUnless(got == expect,
-                    "cannot resume '" + out_path + "': row " +
-                        std::to_string(next_csv + 1) + " (" + got +
-                        ") does not match the planned point (" + expect +
-                        ") — is this the right sweep and shard?");
+        if (got != expect) [[unlikely]]
+            throw ConfigError("cannot resume '" + out_path + "': row " +
+                              std::to_string(next_csv + 1) + " (" + got +
+                              ") does not match the planned point (" +
+                              expect +
+                              ") — is this the right sweep and shard?");
         ++next_csv;
     }
     return state;

@@ -486,10 +486,12 @@ SweepPlan
 parseSweepPlanFile(const std::string &path)
 {
     std::ifstream in(path);
-    fatalUnless(in.good(), "cannot read sweep spec '" + path + "'");
+    if (!in.good())
+        throw ConfigError("cannot read sweep spec '" + path + "'");
     std::ostringstream text;
     text << in.rdbuf();
-    fatalUnless(!in.bad(), "error reading sweep spec '" + path + "'");
+    if (in.bad())
+        throw ConfigError("error reading sweep spec '" + path + "'");
     const size_t slash = path.find_last_of('/');
     const std::string base_dir =
         slash == std::string::npos ? "." : path.substr(0, slash);
@@ -517,18 +519,17 @@ SweepShard
 parseShard(const std::string &text)
 {
     const size_t slash = text.find('/');
-    fatalUnless(slash != std::string::npos,
-                "shard must be I/N, e.g. 0/4; got '" + text + "'");
+    if (slash == std::string::npos)
+        throw ConfigError("shard must be I/N, e.g. 0/4; got '" + text + "'");
     SweepShard shard;
     const char *begin = text.data();
     auto [iptr, iec] =
         std::from_chars(begin, begin + slash, shard.index);
     auto [nptr, nec] = std::from_chars(begin + slash + 1,
                                        begin + text.size(), shard.count);
-    fatalUnless(iec == std::errc() && iptr == begin + slash &&
-                    nec == std::errc() &&
-                    nptr == begin + text.size(),
-                "shard must be I/N, e.g. 0/4; got '" + text + "'");
+    if (iec != std::errc() || iptr != begin + slash ||
+        nec != std::errc() || nptr != begin + text.size())
+        throw ConfigError("shard must be I/N, e.g. 0/4; got '" + text + "'");
     fatalUnless(shard.count >= 1, "shard count must be at least 1");
     fatalUnless(shard.index >= 0 && shard.index < shard.count,
                 "shard index must be in [0, count)");

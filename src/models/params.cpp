@@ -1,5 +1,8 @@
 #include "models/params.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace qccd
@@ -97,11 +100,13 @@ applyHardwareOverride(HardwareParams &params, const std::string &key,
         if (entry.doubleField) {
             params.*entry.doubleField = value;
         } else {
-            const int integral = static_cast<int>(value);
-            fatalUnless(static_cast<double>(integral) == value,
-                        "parameter '" + key +
-                            "' takes an integer value");
-            params.*entry.intField = integral;
+            // Range-check before narrowing: converting an out-of-range
+            // or NaN double to int is undefined behaviour.
+            if (!(std::abs(value) <= std::numeric_limits<int>::max()) ||
+                std::trunc(value) != value)
+                throw ConfigError("parameter '" + key +
+                                  "' takes an integer value");
+            params.*entry.intField = static_cast<int>(value);
         }
         return;
     }

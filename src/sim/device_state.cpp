@@ -16,9 +16,10 @@ DeviceState::DeviceState(const Topology &topo, int num_ions)
 {
     fatalUnless(num_ions >= 1, "device state needs at least one ion");
     if (num_ions > topo.totalCapacity())
-        fatalUnless(false, "application does not fit: " +
-                    std::to_string(num_ions) + " qubits > device capacity " +
-                    std::to_string(topo.totalCapacity()));
+        throw ConfigError("application does not fit: " +
+                          std::to_string(num_ions) +
+                          " qubits > device capacity " +
+                          std::to_string(topo.totalCapacity()));
 }
 
 void

@@ -226,16 +226,19 @@ void
 writeIsaFile(const Trace &trace, const std::string &path)
 {
     std::ofstream out(path);
-    fatalUnless(out.good(), "cannot write ISA file '" + path + "'");
+    if (!out.good())
+        throw ConfigError("cannot write ISA file '" + path + "'");
     out << writeIsa(trace);
-    fatalUnless(out.good(), "error writing ISA file '" + path + "'");
+    if (!out.good())
+        throw ConfigError("error writing ISA file '" + path + "'");
 }
 
 Trace
 parseIsaFile(const std::string &path)
 {
     std::ifstream in(path);
-    fatalUnless(in.good(), "cannot open ISA file '" + path + "'");
+    if (!in.good())
+        throw ConfigError("cannot open ISA file '" + path + "'");
     std::ostringstream buf;
     buf << in.rdbuf();
     return parseIsa(buf.str());

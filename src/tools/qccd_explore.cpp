@@ -197,12 +197,12 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         for (const PlannedPoint &point : slice) {
             if (point.options.cachePath.empty())
                 continue;
-            fatalUnless(cache_path.empty() ||
-                            cache_path == point.options.cachePath,
-                        "sweep spec declares conflicting cache paths "
-                        "('" + cache_path + "' vs '" +
-                            point.options.cachePath +
-                            "'); use one, or override with --cache");
+            if (!cache_path.empty() &&
+                cache_path != point.options.cachePath)
+                throw ConfigError("sweep spec declares conflicting cache "
+                                  "paths ('" + cache_path + "' vs '" +
+                                  point.options.cachePath +
+                                  "'); use one, or override with --cache");
             cache_path = point.options.cachePath;
         }
     }
@@ -266,7 +266,8 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
     const bool append = done > 0 || !state.csvEmpty;
     std::ofstream out(out_file,
                       append ? std::ios::app : std::ios::trunc);
-    fatalUnless(out.good(), "cannot write file '" + out_file + "'");
+    if (!out.good())
+        throw ConfigError("cannot write file '" + out_file + "'");
     SweepRowWriter writer(out, format,
                           with_header && state.csvEmpty,
                           state.csvRows);
@@ -280,8 +281,9 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
             errors_out.open(errors_path, sidecar_exists
                                              ? std::ios::app
                                              : std::ios::trunc);
-            fatalUnless(errors_out.good(),
-                        "cannot write file '" + errors_path + "'");
+            if (!errors_out.good())
+                throw ConfigError("cannot write file '" + errors_path +
+                                  "'");
             if (!sidecar_exists)
                 errors_out << sweepErrorsHeader() << '\n';
         }
@@ -289,8 +291,8 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         // the data CSV: a kill tears at most the final line.
         errors_out << sweepErrorRow(absolute, point) << '\n';
         errors_out.flush();
-        fatalUnless(errors_out.good(),
-                    "error writing '" + errors_path + "'");
+        if (!errors_out.good())
+            throw ConfigError("error writing '" + errors_path + "'");
         ++failures_total;
     };
 
@@ -409,10 +411,11 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
             const std::string &declared = grid.base().options.cachePath;
             if (declared.empty())
                 continue;
-            fatalUnless(cache_path.empty() || cache_path == declared,
-                        "sweep spec declares conflicting cache paths "
-                        "('" + cache_path + "' vs '" + declared +
-                            "'); use one, or override with --cache");
+            if (!cache_path.empty() && cache_path != declared)
+                throw ConfigError("sweep spec declares conflicting cache "
+                                  "paths ('" + cache_path + "' vs '" +
+                                  declared +
+                                  "'); use one, or override with --cache");
             cache_path = declared;
         }
     }
@@ -449,8 +452,8 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
                                         ? plan.name + ".search.csv"
                                         : cli.reportFile;
     std::ofstream report(report_file, std::ios::trunc);
-    fatalUnless(report.good(),
-                "cannot write file '" + report_file + "'");
+    if (!report.good())
+        throw ConfigError("cannot write file '" + report_file + "'");
 
     std::cout << "search " << plan.name << ": " << space.size()
               << " points, "
@@ -529,7 +532,8 @@ main(int argc, char **argv)
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             auto value = [&]() -> std::string {
-                fatalUnless(i + 1 < argc, "missing value for " + arg);
+                if (i + 1 >= argc)
+                    throw ConfigError("missing value for " + arg);
                 return argv[++i];
             };
             auto intValue = [&]() -> int {
@@ -537,9 +541,9 @@ main(int argc, char **argv)
                 try {
                     size_t used = 0;
                     const int parsed = std::stoi(text, &used);
-                    fatalUnless(used == text.size(),
-                                "expected an integer for " + arg +
-                                    ", got '" + text + "'");
+                    if (used != text.size())
+                        throw ConfigError("expected an integer for " + arg +
+                                          ", got '" + text + "'");
                     return parsed;
                 } catch (const QccdError &) {
                     throw;
@@ -631,10 +635,9 @@ main(int argc, char **argv)
                 uint64_t seed = 0;
                 const auto [p, ec] = std::from_chars(
                     text.data(), text.data() + text.size(), seed);
-                fatalUnless(ec == std::errc() &&
-                                p == text.data() + text.size(),
-                            "expected a non-negative integer for "
-                            "--search-seed, got '" + text + "'");
+                if (ec != std::errc() || p != text.data() + text.size())
+                    throw ConfigError("expected a non-negative integer for "
+                                      "--search-seed, got '" + text + "'");
                 search_cli.seed = seed;
                 search_cli.haveSeed = true;
             } else if (arg == "--search-report") {

@@ -13,6 +13,7 @@ scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
 # expect_error DESCRIPTION EXPECTED_STDERR_FRAGMENT ARGS...
+# (prefix with want_status=N to require that exact exit code)
 expect_error() {
     local desc=$1 fragment=$2
     shift 2
@@ -21,6 +22,11 @@ expect_error() {
     local status=$?
     if [[ $status -eq 0 ]]; then
         echo "FAIL: $desc: exited 0, expected nonzero" >&2
+        failures=$((failures + 1))
+        return
+    fi
+    if [[ -n ${want_status:-} && $status -ne $want_status ]]; then
+        echo "FAIL: $desc: exited $status, expected $want_status" >&2
         failures=$((failures + 1))
         return
     fi
@@ -74,6 +80,50 @@ printf 'trap a\ntrap b\n' > "$scratch/disc.topo"
 expect_error "disconnected .topo"   "must be connected" --topo "$scratch/disc.topo"
 printf 'flange a b\n' > "$scratch/directive.topo"
 expect_error "bad .topo directive"  "unknown directive" --topo "$scratch/directive.topo"
+
+# QASM number literals: a malformed or out-of-range literal is a
+# positioned ConfigError (exit 1, one line), never an uncaught
+# std::out_of_range (abort, exit 134) or a silent partial parse.
+qasm_literal() { # NAME STATEMENT
+    printf 'OPENQASM 2.0;\nqreg q[2];\n%s\n' "$2" > "$scratch/$1.qasm"
+}
+qasm_literal huge 'rz(1e999) q[0];'
+qasm_literal dots 'rz(1.2.3) q[0];'
+qasm_literal bare_e 'rz(1e) q[0];'
+qasm_literal big_index 'h q[4294967296];'
+qasm_literal big_qreg 'qreg r[4294967298];'
+want_status=1 expect_error "qasm literal overflow" \
+    "line 3, column 4: number '1e999' is out of range" \
+    --qasm "$scratch/huge.qasm"
+want_status=1 expect_error "qasm literal 1.2.3" "malformed number '1.2.3'" \
+    --qasm "$scratch/dots.qasm"
+want_status=1 expect_error "qasm literal 1e" "malformed number '1e'" \
+    --qasm "$scratch/bare_e.qasm"
+want_status=1 expect_error "qasm index overflow" \
+    "index 4294967296 out of range for qreg 'q'" \
+    --qasm "$scratch/big_index.qasm"
+want_status=1 expect_error "qasm qreg overflow" \
+    "qreg 'r' of size 4294967298 takes the program past" \
+    --qasm "$scratch/big_qreg.qasm"
+echo '{"name": "lit", "sweeps": [{"apps": ["qasm:huge.qasm", "bv"],' \
+    '"capacity": [14]}]}' > "$scratch/lit.sweep"
+want_status=1 expect_error "sweep qasm literal" \
+    "number '1e999' is out of range" \
+    --sweep "$scratch/lit.sweep" --out "$scratch/lit.csv"
+# Under --keep-going the bad point is isolated as infeasible, with the
+# positioned diagnostic in the sidecar, and the other point still runs.
+"$EXPLORE" --sweep "$scratch/lit.sweep" --out "$scratch/lit.csv" \
+    --keep-going > /dev/null 2>&1
+status=$?
+if [[ $status -eq 3 ]] && grep -q \
+    "^0,huge,.*,infeasible,\"QASM parse error at line 3, column 4: " \
+    "$scratch/lit.csv.errors" && grep -q "^bv," "$scratch/lit.csv"; then
+    echo "ok: keep-going records a bad QASM literal as infeasible"
+else
+    echo "FAIL: keep-going bad QASM literal: exit $status, sidecar:" >&2
+    sed 's/^/    /' "$scratch/lit.csv.errors" >&2 2>/dev/null
+    failures=$((failures + 1))
+fi
 
 echo '{"name": "x", "sweeps": [{' > "$scratch/broken.sweep"
 expect_error "garbled sweep"    "broken.sweep:"        --sweep "$scratch/broken.sweep"

@@ -45,6 +45,36 @@ TEST(Circuit, RejectsDegenerateTwoQubitGate)
     EXPECT_THROW(c.add(g), ConfigError);
 }
 
+/** The ConfigError text Circuit::add raises for @p g, or "(no error)". */
+std::string
+addDiagnostic(Circuit &c, const Gate &g)
+{
+    try {
+        c.add(g);
+        return "(no error)";
+    } catch (const ConfigError &err) {
+        return err.what();
+    }
+}
+
+TEST(Circuit, OperandDiagnosticsNameTheGate)
+{
+    Circuit c(2);
+    EXPECT_EQ(addDiagnostic(c, Gate::one(Op::H, 2)),
+              "gate operand q0 out of range in h q2");
+    EXPECT_EQ(addDiagnostic(c, Gate::two(Op::CX, 0, 5)),
+              "gate operand q1 out of range in cx q0, q5");
+    // Gate::two rejects equal operands itself (InternalError), so the
+    // degenerate gate is built by hand to reach Circuit::add's check.
+    Gate same;
+    same.op = Op::CX;
+    same.q0 = 1;
+    same.q1 = 1;
+    EXPECT_EQ(addDiagnostic(c, same),
+              "two-qubit gate operands must differ in cx q1, q1");
+    EXPECT_EQ(c.size(), 0u);
+}
+
 TEST(Circuit, MeasureAllCoversEveryQubit)
 {
     Circuit c(4);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -122,8 +123,14 @@ TEST(SweepSpecParse, EveryHardwareOverrideKeyIsApplicable)
     HardwareParams params;
     EXPECT_THROW(applyHardwareOverride(params, "no_such_knob", 1.0),
                  ConfigError);
-    EXPECT_THROW(applyHardwareOverride(params, "buffer_slots", 1.5),
-                 ConfigError);
+    // Integer knobs reject fractions, and values no int can hold are
+    // rejected before narrowing (which would be undefined behaviour).
+    for (const double bad : {1.5, 2147483648.0, -1e30, std::nan("")})
+        EXPECT_THROW(applyHardwareOverride(params, "buffer_slots", bad),
+                     ConfigError)
+            << bad;
+    applyHardwareOverride(params, "buffer_slots", 2147483647.0);
+    EXPECT_EQ(params.bufferSlots, 2147483647);
 }
 
 TEST(SweepSpecParse, QasmAppsResolveRelativeToBaseDir)
