@@ -113,6 +113,33 @@ BENCHMARK(BM_ScheduleQft)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_ScheduleWide(benchmark::State &state, const char *app, int qubits,
+                const char *topology, int capacity)
+{
+    // Hundreds of qubits over a few dozen traps: the inputs with the
+    // scheduler's longest ready lists. Shared lowered circuit, context
+    // and scratch, so the loop times one schedule pass per iteration.
+    const Circuit native =
+        decomposeToNative(makeBenchmarkSized(app, qubits));
+    DesignPoint dp;
+    dp.topologySpec = topology;
+    dp.trapCapacity = capacity;
+    const ToolflowContext context(dp);
+    SchedulerScratch scratch;
+    for (auto _ : state) {
+        const RunResult r = runToolflow(native, dp, context, {}, &scratch);
+        benchmark::DoNotOptimize(r.sim.makespan);
+        benchmark::DoNotOptimize(r.sim.logFidelity);
+    }
+}
+BENCHMARK_CAPTURE(BM_ScheduleWide, qaoa512_grid5x5, "qaoa", 512,
+                  "grid:5x5", 24)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ScheduleWide, qft256_grid4x4, "qft", 256,
+                  "grid:4x4", 20)
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_FullToolflowSupremacy(benchmark::State &state)
 {
     const Circuit app = makeBenchmark("supremacy");

@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 
 namespace qccd
 {
+
+namespace
+{
+
+/** Successor-link and front sentinel: no further gate on the qubit. */
+constexpr uint32_t kNoGate = UINT32_MAX;
+
+} // namespace
 
 PathCost
 Scheduler::pathCostFrom(const HardwareParams &hw)
@@ -96,57 +103,78 @@ Scheduler::buildQueues()
     QCCD_FAULT_POINT("scheduler.build_queues");
 
     SchedulerScratch &s = *scratch_;
-    const int nq = circuit_.numQubits();
+    const size_t n = circuit_.size();
 
-    // Operand entries (up to two per gate) and the prefix sums over
-    // them must fit the uint32 CSR cells.
-    fatalUnless(circuit_.size() < UINT32_MAX / 2,
+    // Gate indices and the kNoGate sentinel share uint32 cells.
+    fatalUnless(n < kNoGate,
                 "circuit too large for the scheduler's gate queue");
 
-    // CSR layout: one flat index vector, per-qubit slices located by
-    // offsets. Built in two passes (count, then fill with the cursor
-    // vector as the per-qubit write head). Rebuilt every run — only
-    // the storage is pooled, so a recycled scratch can never serve a
-    // stale queue.
-    s.offsets_.assign(nq + 1, 0);
+    // One backward pass links each gate to the next gate on each of
+    // its operands, and counts per gate the operands that have an
+    // earlier gate to retire first. What the pass leaves in front_ is
+    // each qubit's first gate. Rebuilt every run — only the storage is
+    // pooled, so a recycled scratch can never serve stale links.
+    s.succ_.resize(n);
+    s.pending_.assign(n, 0);
+    s.front_.assign(circuit_.numQubits(), kNoGate);
     size_t total = 0;
-    for (size_t gi = 0; gi < circuit_.size(); ++gi) {
+    for (size_t gi = n; gi-- > 0;) {
         const Gate &g = circuit_.gate(gi);
         if (g.op == Op::Barrier)
             continue;
-        ++s.offsets_[g.q0 + 1];
-        if (g.isTwoQubit())
-            ++s.offsets_[g.q1 + 1];
+        const int arity = g.isTwoQubit() ? 2 : 1;
+        for (int k = 0; k < arity; ++k) {
+            const QubitId q = k == 0 ? g.q0 : g.q1;
+            const uint32_t next = s.front_[q];
+            s.succ_[gi][k] = next;
+            if (next != kNoGate)
+                ++s.pending_[next];
+            s.front_[q] = static_cast<uint32_t>(gi);
+        }
         ++total;
-    }
-    for (int q = 0; q < nq; ++q)
-        s.offsets_[q + 1] += s.offsets_[q];
-    s.queue_.resize(s.offsets_[nq]);
-    s.cursors_.assign(s.offsets_.begin(), s.offsets_.end() - 1);
-    for (size_t gi = 0; gi < circuit_.size(); ++gi) {
-        const Gate &g = circuit_.gate(gi);
-        if (g.op == Op::Barrier)
-            continue;
-        s.queue_[s.cursors_[g.q0]++] = static_cast<uint32_t>(gi);
-        if (g.isTwoQubit())
-            s.queue_[s.cursors_[g.q1]++] = static_cast<uint32_t>(gi);
     }
     gateCount_ = total;
 
-    // Rewind every qubit's cursor to the start of its slice.
-    s.cursors_.assign(s.offsets_.begin(), s.offsets_.end() - 1);
-
-    // Checked builds audit the CSR shape: monotone offsets, a fully
-    // written index vector, and every cell naming a real gate.
+    // Checked builds re-derive both structures in a forward pass: each
+    // link must name the next later gate on its qubit (or kNoGate at
+    // the qubit's last gate), front_ the qubit's first gate, and each
+    // count the operands that have an earlier gate.
     QCCD_CHECKED_ONLY({
-        for (int q = 0; q < nq; ++q)
-            panicUnless(s.offsets_[q] <= s.offsets_[q + 1],
-                        "gate queue offsets are not monotone");
-        panicUnless(s.queue_.size() == s.offsets_[nq],
-                    "gate queue storage does not match its offsets");
-        for (const uint32_t gi : s.queue_)
-            panicUnless(gi < circuit_.size(),
-                        "gate queue cell names a nonexistent gate");
+        std::vector<uint32_t> last(circuit_.numQubits(), kNoGate);
+        for (size_t gi = 0; gi < n; ++gi) {
+            const Gate &g = circuit_.gate(gi);
+            if (g.op == Op::Barrier)
+                continue;
+            const int arity = g.isTwoQubit() ? 2 : 1;
+            int preds = 0;
+            for (int k = 0; k < arity; ++k) {
+                const QubitId q = k == 0 ? g.q0 : g.q1;
+                if (last[q] == kNoGate) {
+                    panicUnless(s.front_[q] == gi,
+                                "front does not name a qubit's first gate");
+                } else {
+                    const Gate &prev = circuit_.gate(last[q]);
+                    panicUnless(s.succ_[last[q]][prev.q0 == q ? 0 : 1] ==
+                                    gi,
+                                "successor link skips the next gate on "
+                                "its qubit");
+                    ++preds;
+                }
+                last[q] = static_cast<uint32_t>(gi);
+            }
+            panicUnless(s.pending_[gi] == preds,
+                        "predecessor count does not match the circuit");
+        }
+        for (QubitId q = 0; q < circuit_.numQubits(); ++q) {
+            if (last[q] == kNoGate) {
+                panicUnless(s.front_[q] == kNoGate,
+                            "front names a gate on an idle qubit");
+                continue;
+            }
+            const Gate &g = circuit_.gate(last[q]);
+            panicUnless(s.succ_[last[q]][g.q0 == q ? 0 : 1] == kNoGate,
+                        "successor link runs past a qubit's last gate");
+        }
     })
 }
 
@@ -174,22 +202,25 @@ Scheduler::placeInitialLayout()
 size_t
 Scheduler::nextGateIndex(QubitId q) const
 {
-    const SchedulerScratch &s = *scratch_;
-    const uint32_t cur = s.cursors_[q];
-    if (cur >= s.offsets_[q + 1])
-        return SIZE_MAX;
-    return s.queue_[cur];
+    const uint32_t gi = scratch_->front_[q];
+    return gi == kNoGate ? SIZE_MAX : gi;
 }
 
 bool
 Scheduler::gateReady(size_t gi) const
 {
     const Gate &g = circuit_.gate(gi);
-    if (nextGateIndex(g.q0) != gi)
-        return false;
-    if (g.isTwoQubit() && nextGateIndex(g.q1) != gi)
-        return false;
-    return true;
+    const std::vector<uint32_t> &front = scratch_->front_;
+    return front[g.q0] == gi && (!g.isTwoQubit() || front[g.q1] == gi);
+}
+
+void
+Scheduler::release(QubitId q, uint32_t next)
+{
+    SchedulerScratch &s = *scratch_;
+    s.front_[q] = next;
+    if (next != kNoGate && --s.pending_[next] == 0)
+        s.ready_.push(gateReadyTime(next), next);
 }
 
 TimeUs
@@ -222,29 +253,28 @@ Scheduler::run()
         result_.trace.reserve(total + total / 2);
     }
 
-    // Lazy min-heap of (readyTime, gate index) on pooled storage;
-    // stale keys reinserted. push_heap/pop_heap is exactly what
-    // std::priority_queue runs, so pop order (ties included) matches
-    // the previous implementation.
-    using Entry = std::pair<TimeUs, size_t>;
-    auto &heap = s.heap_;
-    const auto cmp = std::greater<Entry>{};
-    heap.clear();
-    heap.reserve(total + 1);
-    const auto heapPush = [&](TimeUs key, size_t gi) {
-        heap.emplace_back(key, gi);
-        std::push_heap(heap.begin(), heap.end(), cmp);
-    };
-    for (size_t gi = 0; gi < circuit_.size(); ++gi)
-        if (circuit_.gate(gi).op != Op::Barrier && gateReady(gi))
-            heapPush(gateReadyTime(gi), gi);
-    QCCD_DBG_ASSERT(std::is_heap(heap.begin(), heap.end(), cmp),
-                    "initial ready set is not a min-heap");
+    // Ready list of (data-ready time, gate index) on pooled storage,
+    // popped in ascending order. A gate enters once, when its last
+    // predecessor retires. Its key can go stale, because shuttles and
+    // reorders for other gates move its operands' ready times, so a
+    // popped gate that is now ready later is pushed back under its new
+    // time. Each gate thus has at most one live entry, which makes
+    // (key, gate) a strict order over the live entries: ties between
+    // equal keys always pop the lower gate index first.
+    ReadyList &ready = s.ready_;
+    ready.clear();
+    for (QubitId q = 0; q < circuit_.numQubits(); ++q) {
+        // A two-qubit gate fronts both operands; push it once.
+        const uint32_t gi = s.front_[q];
+        if (gi != kNoGate && s.pending_[gi] == 0 &&
+            circuit_.gate(gi).q0 == q)
+            ready.push(gateReadyTime(gi), gi);
+    }
 
     size_t executed = 0;
     size_t pops = 0;
 
-    while (!heap.empty()) {
+    while (!ready.empty()) {
         // Watchdog: a clock read per pop would be measurable on the
         // 1 ms/point hot path, so the deadline is sampled every 256
         // pops (the first pop included, so an already-expired deadline
@@ -253,36 +283,24 @@ Scheduler::run()
         if ((pops++ & 0xFF) == 0)
             options_.deadline.check("scheduler.pop");
 
-        const auto [key, gi] = heap.front();
-        std::pop_heap(heap.begin(), heap.end(), cmp);
-        heap.pop_back();
-        // Min-heap pop order: nothing left can sort before the popped
-        // key (O(1) per pop, so checked full runs stay fast).
-        QCCD_DBG_ASSERT(heap.empty() || !cmp(Entry{key, gi},
-                                             heap.front()),
-                        "heap popped keys out of order");
-        panicUnless(gateReady(gi), "non-ready gate escaped into heap");
+        const auto [key, gi] = ready.pop();
+        panicUnless(gateReady(gi),
+                    "non-ready gate escaped into the ready list");
         const TimeUs now = gateReadyTime(gi);
         if (now > key) {
-            heapPush(now, gi);
+            ready.push(now, gi);
             continue;
         }
 
         executeGate(gi);
         ++executed;
 
-        // Retire the gate and surface newly ready successors.
+        // Retire the gate: advance its operands' fronts and surface
+        // the successors it was the last predecessor of.
         const Gate &g = circuit_.gate(gi);
-        ++s.cursors_[g.q0];
-        const size_t succ0 = nextGateIndex(g.q0);
-        if (succ0 != SIZE_MAX && gateReady(succ0))
-            heapPush(gateReadyTime(succ0), succ0);
-        if (g.isTwoQubit()) {
-            ++s.cursors_[g.q1];
-            const size_t succ1 = nextGateIndex(g.q1);
-            if (succ1 != SIZE_MAX && gateReady(succ1))
-                heapPush(gateReadyTime(succ1), succ1);
-        }
+        release(g.q0, s.succ_[gi][0]);
+        if (g.isTwoQubit())
+            release(g.q1, s.succ_[gi][1]);
     }
 
     panicUnless(executed == total,

@@ -25,10 +25,10 @@
 #ifndef QCCD_COMPILER_SCHEDULER_HPP
 #define QCCD_COMPILER_SCHEDULER_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "arch/path.hpp"
@@ -36,6 +36,7 @@
 #include "circuit/circuit.hpp"
 #include "common/deadline.hpp"
 #include "compiler/mapping.hpp"
+#include "compiler/ready_list.hpp"
 #include "compiler/reorder.hpp"
 #include "compiler/router.hpp"
 #include "models/params.hpp"
@@ -97,13 +98,13 @@ struct ScheduleResult
  * A toolflow point schedules the same circuit up to twice (the real
  * pass and the zero-communication pass of the Fig. 6b decomposition),
  * and a sweep worker evaluates many points back to back. Passing one
- * scratch to every Scheduler pools the allocations: the flattened gate
- * queue and ready-heap keep their storage across runs (contents are
- * rebuilt every run), and the DeviceState is reset in place instead of
- * reconstructed when the same topology and ion count repeat. Contents
- * are fully (re)initialized by each run, so results are bit-identical
- * with and without a scratch. Not thread-safe: use one scratch per
- * worker.
+ * scratch to every Scheduler pools the allocations: the successor
+ * links, predecessor counts, per-qubit fronts and the ready list keep
+ * their storage across runs (contents are rebuilt every run), and the
+ * DeviceState is reset in place instead of reconstructed when the same
+ * topology and ion count repeat. Contents are fully (re)initialized by
+ * each run, so results are bit-identical with and without a scratch.
+ * Not thread-safe: use one scratch per worker.
  */
 class SchedulerScratch
 {
@@ -123,16 +124,15 @@ class SchedulerScratch
   private:
     friend class Scheduler;
 
-    /** CSR gate queue: per-qubit slices of queue_ delimited by
-     *  offsets_. Contents are rebuilt by every run (only the storage
-     *  is pooled — a cheap linear pass, and address-based circuit
-     *  identity would be unsound across pooled runs). @{ */
-    std::vector<uint32_t> queue_;
-    std::vector<uint32_t> offsets_;
+    /** Gate dependencies, rebuilt by every run in one backward pass
+     *  (only the storage is pooled: address-based circuit identity
+     *  would be unsound across pooled runs). @{ */
+    std::vector<std::array<uint32_t, 2>> succ_; ///< next gate per operand
+    std::vector<uint8_t> pending_; ///< per gate: unretired predecessors
+    std::vector<uint32_t> front_;  ///< per qubit: next unexecuted gate
     /** @} */
 
-    std::vector<uint32_t> cursors_; ///< per-qubit position in queue_
-    std::vector<std::pair<TimeUs, size_t>> heap_;
+    ReadyList ready_;
     std::optional<DeviceState> state_;
 };
 
@@ -209,6 +209,12 @@ class Scheduler
 
     /** True when gate @p gi is the front gate of all its operands. */
     bool gateReady(size_t gi) const;
+
+    /**
+     * Advance qubit @p q's front past a retired gate to @p next, and
+     * push @p next once its last predecessor has retired.
+     */
+    void release(QubitId q, uint32_t next);
 
     /** Data-ready time of gate @p gi. */
     TimeUs gateReadyTime(size_t gi) const;

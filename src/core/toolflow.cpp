@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "circuit/decompose.hpp"
 #include "common/error.hpp"
@@ -92,8 +93,10 @@ namespace
 
 /**
  * The shared body of every full toolflow evaluation. @p placement
- * optionally injects a cached initial mapping (both passes use the
- * same one — they map identically anyway); @p log optionally records
+ * optionally injects a cached initial mapping; without one, the real
+ * pass maps and the zero-communication pass adopts its mapping, so
+ * mapQubits runs at most once per point. @p mapping_out, when set,
+ * receives the mapping both passes used. @p log optionally records
  * the real pass's model-relevant primitives for later replay (the
  * zero-communication pass is schedule-determined and never replayed,
  * so it is not logged).
@@ -102,7 +105,8 @@ RunResult
 runToolflowImpl(const Circuit &native, const DesignPoint &design,
                 const ToolflowContext &context,
                 const RunOptions &options, SchedulerScratch *scratch,
-                const InitialMapping *placement, ModelEvalLog *log)
+                const InitialMapping *placement, ModelEvalLog *log,
+                InitialMapping *mapping_out)
 {
     QCCD_FAULT_POINT("toolflow.run");
 
@@ -120,6 +124,7 @@ runToolflowImpl(const Circuit &native, const DesignPoint &design,
                                   : Deadline();
 
     RunResult result;
+    InitialMapping mapping;
     {
         ScheduleOptions sched;
         sched.collectTrace = options.collectTrace;
@@ -129,25 +134,29 @@ runToolflowImpl(const Circuit &native, const DesignPoint &design,
         sched.modelLog = log;
         Scheduler scheduler(native, context.topology(), design.hw,
                             context.paths(), sched, scratch);
-        result.sim = scheduler.run().metrics;
+        ScheduleResult first = scheduler.run();
+        result.sim = first.metrics;
+        mapping = std::move(first.mapping);
     }
     if (options.decomposeRuntime) {
         // Second pass with shuttling idealized to zero duration yields
         // the pure computation critical path; the difference is the
         // communication share (Fig. 6b's decomposition). The pass
-        // reuses the lowered circuit, the shared context, and the
-        // first pass's scratch buffers: only the schedule itself is
-        // recomputed.
+        // reuses the lowered circuit, the shared context, the first
+        // pass's mapping and its scratch buffers: only the schedule
+        // itself is recomputed.
         ScheduleOptions sched;
         sched.collectTrace = false;
         sched.zeroCommTimes = true;
         sched.mappingPolicy = options.mappingPolicy;
         sched.deadline = deadline;
-        sched.placement = placement;
+        sched.placement = &mapping;
         Scheduler scheduler(native, context.topology(), design.hw,
                             context.paths(), sched, scratch);
         result.computeOnlyTime = scheduler.run().metrics.makespan;
     }
+    if (mapping_out != nullptr)
+        *mapping_out = std::move(mapping);
     return result;
 }
 
@@ -159,7 +168,7 @@ runToolflow(const Circuit &native, const DesignPoint &design,
             SchedulerScratch *scratch)
 {
     return runToolflowImpl(native, design, context, options, scratch,
-                           nullptr, nullptr);
+                           nullptr, nullptr, nullptr);
 }
 
 RunResult
@@ -204,21 +213,21 @@ StagedToolflow::run(const Circuit &native, const DesignPoint &design,
     // paired with the new key.
     haveSchedule_ = false;
     log_.clear();
+    InitialMapping mapped;
     RunResult result = runToolflowImpl(native, design, context, options,
-                                       &scratch_, placement, &log_);
+                                       &scratch_, placement, &log_,
+                                       &mapped);
     ++stats_.fullSchedules;
 
     scheduleKey_ = key;
     scheduleBase_ = result;
     haveSchedule_ = true;
     if (placement == nullptr) {
-        // Adopt this run's mapping for future placement reuse. The
-        // scheduler recomputes mapQubits internally; rerunning it here
-        // is cheap relative to a schedule and keeps the cache honest.
+        // Adopt the mapping this run computed for future placement
+        // reuse (mapQubits is deterministic, so it is exactly what a
+        // rerun would return).
         placementKey_ = pkey;
-        placement_ = mapQubits(native, context.topology(),
-                               design.hw.bufferSlots,
-                               options.mappingPolicy);
+        placement_ = std::move(mapped);
         havePlacement_ = true;
     }
     return result;

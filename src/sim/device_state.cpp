@@ -95,13 +95,6 @@ DeviceState::placeIon(TrapId t, IonId ion, QubitId payload)
                     "placeIon broke the position index");
 }
 
-const ChainState &
-DeviceState::chain(TrapId t) const
-{
-    panicUnless(t >= 0 && t < topo_.trapCount(), "trap out of range");
-    return chains_[t];
-}
-
 void
 DeviceState::setEnergy(TrapId t, Quanta e)
 {
@@ -109,40 +102,6 @@ DeviceState::setEnergy(TrapId t, Quanta e)
     panicUnless(e >= 0, "chain energy cannot be negative");
     chains_[t].energy = e;
     maxEnergySeen_ = std::max(maxEnergySeen_, e);
-}
-
-TrapId
-DeviceState::trapOf(IonId ion) const
-{
-    panicUnless(ion >= 0 && ion < numIons(), "ion out of range");
-    return ionTrap_[ion];
-}
-
-int
-DeviceState::positionOf(IonId ion) const
-{
-    const TrapId t = trapOf(ion);
-    panicUnless(t != kInvalidId, "ion is in flight");
-    const int pos = ionPos_[ion];
-    panicUnless(pos >= 0 && pos < chains_[t].size() &&
-                    chains_[t].ions[pos] == ion,
-                "ion/trap bookkeeping out of sync");
-    return pos;
-}
-
-QubitId
-DeviceState::payloadOf(IonId ion) const
-{
-    panicUnless(ion >= 0 && ion < numIons(), "ion out of range");
-    return ionPayload_[ion];
-}
-
-IonId
-DeviceState::ionOf(QubitId q) const
-{
-    panicUnless(q >= 0 && q < static_cast<int>(qubitIon_.size()),
-                "qubit out of range");
-    return qubitIon_[q];
 }
 
 void
@@ -242,26 +201,6 @@ DeviceState::portEnd(TrapId t, EdgeId e) const
                 "edge is not incident to trap");
     return edge.other(trap_node) < trap_node ? ChainEnd::Left
                                              : ChainEnd::Right;
-}
-
-int
-DeviceState::freeSlots(TrapId t) const
-{
-    return topo_.node(topo_.trapNode(t)).capacity - chain(t).size();
-}
-
-ResourceTimeline &
-DeviceState::trapTimeline(TrapId t)
-{
-    panicUnless(t >= 0 && t < topo_.trapCount(), "trap out of range");
-    return trapRes_[t];
-}
-
-ResourceTimeline &
-DeviceState::edgeTimeline(EdgeId e)
-{
-    panicUnless(e >= 0 && e < topo_.edgeCount(), "edge out of range");
-    return edgeRes_[e];
 }
 
 ResourceTimeline &

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "arch/topology.hpp"
+#include "common/error.hpp"
 #include "sim/resources.hpp"
 
 namespace qccd
@@ -72,21 +73,47 @@ class DeviceState
     /** Place ion @p ion carrying @p payload at the right end of @p t. */
     void placeIon(TrapId t, IonId ion, QubitId payload);
 
-    const ChainState &chain(TrapId t) const;
+    const ChainState &chain(TrapId t) const
+    {
+        panicUnless(t >= 0 && t < topo_.trapCount(), "trap out of range");
+        return chains_[t];
+    }
     Quanta energy(TrapId t) const { return chain(t).energy; }
     void setEnergy(TrapId t, Quanta e);
 
     /** Trap currently holding @p ion, or kInvalidId while in flight. */
-    TrapId trapOf(IonId ion) const;
+    TrapId trapOf(IonId ion) const
+    {
+        panicUnless(ion >= 0 && ion < numIons(), "ion out of range");
+        return ionTrap_[ion];
+    }
 
     /** Position of @p ion within its chain. @pre not in flight */
-    int positionOf(IonId ion) const;
+    int positionOf(IonId ion) const
+    {
+        const TrapId t = trapOf(ion);
+        panicUnless(t != kInvalidId, "ion is in flight");
+        const int pos = ionPos_[ion];
+        panicUnless(pos >= 0 && pos < chains_[t].size() &&
+                        chains_[t].ions[pos] == ion,
+                    "ion/trap bookkeeping out of sync");
+        return pos;
+    }
 
     /** Logical qubit carried by @p ion. */
-    QubitId payloadOf(IonId ion) const;
+    QubitId payloadOf(IonId ion) const
+    {
+        panicUnless(ion >= 0 && ion < numIons(), "ion out of range");
+        return ionPayload_[ion];
+    }
 
     /** Ion currently carrying logical qubit @p q. */
-    IonId ionOf(QubitId q) const;
+    IonId ionOf(QubitId q) const
+    {
+        panicUnless(q >= 0 && q < static_cast<int>(qubitIon_.size()),
+                    "qubit out of range");
+        return qubitIon_[q];
+    }
 
     /** Exchange the logical payloads of two ions (gate-based swap). */
     void swapPayloads(IonId a, IonId b);
@@ -114,7 +141,10 @@ class DeviceState
     ChainEnd portEnd(TrapId t, EdgeId e) const;
 
     /** Free slots remaining in trap @p t given its capacity. */
-    int freeSlots(TrapId t) const;
+    int freeSlots(TrapId t) const
+    {
+        return topo_.node(topo_.trapNode(t)).capacity - chain(t).size();
+    }
 
     /** Maximum chain energy observed so far across all traps. */
     Quanta maxEnergySeen() const { return maxEnergySeen_; }
@@ -127,8 +157,16 @@ class DeviceState
     bool positionIndexConsistent() const;
 
     /** Resource timelines. @{ */
-    ResourceTimeline &trapTimeline(TrapId t);
-    ResourceTimeline &edgeTimeline(EdgeId e);
+    ResourceTimeline &trapTimeline(TrapId t)
+    {
+        panicUnless(t >= 0 && t < topo_.trapCount(), "trap out of range");
+        return trapRes_[t];
+    }
+    ResourceTimeline &edgeTimeline(EdgeId e)
+    {
+        panicUnless(e >= 0 && e < topo_.edgeCount(), "edge out of range");
+        return edgeRes_[e];
+    }
     ResourceTimeline &junctionTimeline(NodeId n);
     /** @} */
 

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/builders.hpp"
+#include "benchgen/benchgen.hpp"
 #include "circuit/decompose.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "compiler/scheduler.hpp"
+#include "core/toolflow.hpp"
 
 namespace qccd
 {
@@ -286,6 +293,193 @@ TEST(Scheduler, BarrierOnlyCircuitRuns)
     Scheduler sched(c, topo, fmGs());
     const ScheduleResult r = sched.run();
     EXPECT_DOUBLE_EQ(r.metrics.makespan, 0.0);
+}
+
+/**
+ * Digest of every schedule-determined RunResult field: makespan,
+ * log-fidelity, compute-only time and every OpCounts counter.
+ */
+std::string
+runDigest(const RunResult &r)
+{
+    StableHash h;
+    h.f64(r.sim.makespan);
+    h.f64(r.sim.logFidelity);
+    h.f64(r.computeOnlyTime);
+    const OpCounts &c = r.sim.counts;
+    for (const long v :
+         {c.algorithmMs, c.reorderMs, c.oneQubit, c.measurements,
+          c.splits, c.merges, c.moves, c.segmentsMoved,
+          c.junctionCrossings, c.rotations, c.transits, c.shuttles,
+          c.evictions, c.trapPassThroughs})
+        h.i64(v);
+    return h.digest().hex();
+}
+
+/**
+ * A seeded native circuit of one-qubit rotations and MS gates, closed
+ * by measuring every qubit. @p barriers interleaves barriers (which
+ * only the scheduler, never decomposeToNative, sees); @p repeats
+ * follows some MS gates with more MS gates on the same pair.
+ */
+Circuit
+randomNative(int qubits, int gates, uint64_t seed, bool barriers,
+             bool repeats)
+{
+    Rng rng(seed);
+    Circuit c(qubits, "pinned");
+    for (int i = 0; i < gates; ++i) {
+        const int roll = rng.nextInt(0, 9);
+        const QubitId a = rng.nextInt(0, qubits - 1);
+        if (roll < 3) {
+            c.rx(a, 0.1 + 0.25 * roll);
+            continue;
+        }
+        if (roll == 3 && barriers) {
+            Gate barrier;
+            barrier.op = Op::Barrier;
+            c.add(barrier);
+            continue;
+        }
+        QubitId b = rng.nextInt(0, qubits - 2);
+        if (b >= a)
+            ++b;
+        c.ms(a, b);
+        if (repeats && roll >= 8) {
+            c.ms(b, a);
+            if (roll == 9)
+                c.ms(a, b);
+        }
+    }
+    c.measureAll();
+    return c;
+}
+
+/** The pinned circuits, by index. */
+const std::vector<Circuit> &
+pinnedCircuits()
+{
+    static const std::vector<Circuit> circuits = {
+        randomNative(24, 300, 101, false, false),
+        randomNative(20, 240, 202, true, false),
+        randomNative(18, 240, 303, false, true),
+        decomposeToNative(makeQft(16)),
+    };
+    return circuits;
+}
+
+/** One seeded schedule the committed goldens never reach. */
+struct PinnedCase
+{
+    const char *label;
+    std::string topology;
+    int capacity;
+    GateImpl gate;
+    ReorderMethod reorder;
+    MappingPolicy policy;
+    int bufferSlots;
+    size_t circuit; ///< index into pinnedCircuits()
+    const char *digest;
+};
+
+const std::string kTopoDir =
+    std::string(QCCD_SCHEDULER_TEST_SOURCE_DIR) + "/examples/topos/";
+
+/**
+ * Every case runs the Fig. 6b zero-communication pass too, so the
+ * digest pins both passes. Digests were generated before the
+ * scheduler's ready list and successor counts replaced its heap and
+ * per-qubit gate queue, so they prove the rewrite kept the schedule.
+ */
+const std::vector<PinnedCase> &
+pinnedCases()
+{
+    using G = GateImpl;
+    using R = ReorderMethod;
+    using P = MappingPolicy;
+    static const std::vector<PinnedCase> cases = {
+        {"is-zero-comm", "linear:4", 10, G::FM, R::IS, P::Packed, 2, 0,
+         "8fa2738e15d1fa69b7275ad6f1996e0e"},
+        {"balanced-gs", "grid:2x2", 12, G::FM, R::GS, P::Balanced, 2, 0,
+         "88c70e65e8261ba13d8b11f49d1082a2"},
+        {"balanced-is-barriers", "linear:5", 10, G::AM2, R::IS,
+         P::Balanced, 2, 1, "a30b4f6d794b9a3c36fbcc7d884c8b4b"},
+        {"am1-ring-repeats", "ring:5", 10, G::AM1, R::GS, P::Packed, 2, 2,
+         "b91d805748490e7c4f6c2db53769c3bb"},
+        {"am2-star-qft", "star:5", 10, G::AM2, R::GS, P::Packed, 2, 3,
+         "c4071d91e20597f0b88b8bb9b852944b"},
+        {"pm-htree-balanced", "htree:2", 12, G::PM, R::IS, P::Balanced,
+         2, 0, "76a81f62ca19bf60ea5de4d3d9251b5f"},
+        {"pm-topo-barriers", "topo:" + kTopoDir + "hub5.topo", 8, G::PM,
+         R::GS, P::Packed, 2, 1, "2d29d89c8a9ec27c5f8c36797d4b18ff"},
+        {"am1-topo-repeats", "topo:" + kTopoDir + "ring6.topo", 8, G::AM1,
+         R::IS, P::Balanced, 1, 2, "c9885c1d9c0cb076c56cff19ffe5b609"},
+        {"evict-repeats", "linear:3", 8, G::FM, R::GS, P::Packed, 0, 2,
+         "bf2579febaec9d1c43871780d4261263"},
+    };
+    return cases;
+}
+
+DesignPoint
+pinnedDesign(const PinnedCase &pc)
+{
+    DesignPoint dp;
+    dp.topologySpec = pc.topology;
+    dp.trapCapacity = pc.capacity;
+    dp.hw.gateImpl = pc.gate;
+    dp.hw.reorder = pc.reorder;
+    dp.hw.bufferSlots = pc.bufferSlots;
+    return dp;
+}
+
+RunOptions
+pinnedOptions(const PinnedCase &pc)
+{
+    RunOptions options;
+    options.decomposeRuntime = true;
+    options.mappingPolicy = pc.policy;
+    return options;
+}
+
+TEST(Scheduler, PinnedSchedulesOutsideTheGoldens)
+{
+    for (const PinnedCase &pc : pinnedCases()) {
+        const Circuit &native = pinnedCircuits().at(pc.circuit);
+        const DesignPoint dp = pinnedDesign(pc);
+        const ToolflowContext context(dp);
+        const RunResult r =
+            runToolflow(native, dp, context, pinnedOptions(pc));
+        EXPECT_GT(r.sim.counts.shuttles, 0) << pc.label;
+        EXPECT_GT(r.computeOnlyTime, 0) << pc.label;
+        EXPECT_EQ(runDigest(r), pc.digest) << pc.label;
+    }
+}
+
+TEST(Scheduler, StagedRunsMatchPinnedSchedules)
+{
+    // One staged toolflow walks every case twice in a row with only
+    // the gate implementation changed the second time: the second run
+    // is a full schedule over the first run's cached placement, and
+    // both must equal the direct runs.
+    StagedToolflow staged;
+    size_t runs = 0;
+    for (const PinnedCase &pc : pinnedCases()) {
+        const Circuit &native = pinnedCircuits().at(pc.circuit);
+        DesignPoint dp = pinnedDesign(pc);
+        const ToolflowContext context(dp);
+        const RunOptions options = pinnedOptions(pc);
+        EXPECT_EQ(runDigest(staged.run(native, dp, context, options)),
+                  pc.digest)
+            << pc.label;
+        dp.hw.gateImpl =
+            pc.gate == GateImpl::FM ? GateImpl::PM : GateImpl::FM;
+        EXPECT_EQ(runDigest(staged.run(native, dp, context, options)),
+                  runDigest(runToolflow(native, dp, context, options)))
+            << pc.label;
+        runs += 2;
+    }
+    EXPECT_EQ(staged.stats().fullSchedules, runs);
+    EXPECT_EQ(staged.stats().placementsReused, runs / 2);
 }
 
 } // namespace
