@@ -190,6 +190,40 @@ BM_ToolflowPoint(benchmark::State &state)
 BENCHMARK(BM_ToolflowPoint)->Unit(benchmark::kMillisecond);
 
 void
+BM_StagedMicroarchGrid(benchmark::State &state)
+{
+    // Fig. 8's per-application block: one lowered circuit on 4 gate
+    // implementations x 2 reorder methods x 6 capacities of linear:6,
+    // through one StagedToolflow as a sweep worker runs a batch. Every
+    // point has its own schedule key, so all 48 are full schedules of
+    // the same circuit: the shape that shares one schedule plan.
+    const Circuit native = decomposeToNative(makeBenchmark("qft"));
+    const std::vector<int> capacities = paperCapacities();
+    std::vector<ToolflowContext> contexts;
+    for (int cap : capacities)
+        contexts.emplace_back(DesignPoint::linear(6, cap));
+    for (auto _ : state) {
+        StagedToolflow staged;
+        for (GateImpl gate :
+             {GateImpl::AM1, GateImpl::AM2, GateImpl::FM, GateImpl::PM}) {
+            for (ReorderMethod reorder :
+                 {ReorderMethod::GS, ReorderMethod::IS}) {
+                for (size_t c = 0; c < capacities.size(); ++c) {
+                    const RunResult r = staged.run(
+                        native,
+                        DesignPoint::linear(6, capacities[c], gate,
+                                            reorder),
+                        contexts[c], {});
+                    benchmark::DoNotOptimize(r.sim.makespan);
+                    benchmark::DoNotOptimize(r.sim.logFidelity);
+                }
+            }
+        }
+    }
+}
+BENCHMARK(BM_StagedMicroarchGrid)->Unit(benchmark::kMillisecond);
+
+void
 BM_ModelTablesLookup(benchmark::State &state)
 {
     HardwareParams hw;

@@ -7,8 +7,10 @@
 #      examples/sweeps/<spec>.sweep writes <spec name>.csv),
 #
 # plus sharded spec runs whose concatenated outputs must reproduce the
-# unsharded files byte-for-byte, and a cold+warm result-cache pass over
-# the sensitivity sweep (the staged toolflow's replay-heavy best case).
+# unsharded files byte-for-byte, a cold+warm result-cache pass over
+# the sensitivity sweep (the staged toolflow's replay-heavy best case),
+# and the full primitive stream (--trace dump and .isa file) of two
+# single-point runs against golden/*.trace and golden/*.isa.
 # Any diff means a change altered the
 # simulator's arithmetic or the export format — intended metric changes
 # must regenerate the golden files in the same commit. Every golden CSV
@@ -195,6 +197,41 @@ else
     echo "   WARM-CACHE RUN DIFFERS from golden/sensitivity_fidelity.csv" >&2
     failures=$((failures + 1))
 fi
+
+# --- Primitive stream: full --trace dumps and .isa executables ------
+# The CSVs pin aggregate metrics only. These pin every scheduled
+# primitive (order, timing, operands) of one IS run and of one GS run
+# that evicts, in both the human trace dump and the executable format.
+mkdir -p "$scratch/stream"
+check_stream() {
+    local name=$1
+    shift
+    echo "== primitive stream $name =="
+    if ! (cd "$scratch/stream" &&
+            "$EXPLORE" "$@" --trace 1000000 > "$name.trace" \
+                2> "$name.err" &&
+            "$EXPLORE" "$@" --emit-isa "$name.isa" > /dev/null \
+                2>> "$name.err"); then
+        echo "   FAILED to run (see $scratch/stream/$name.err)" >&2
+        failures=$((failures + 1))
+        return
+    fi
+    local ext
+    for ext in trace isa; do
+        if diff -u "$GOLDEN_DIR/$name.$ext" "$scratch/stream/$name.$ext" \
+                > "$scratch/stream/$name.$ext.diff"; then
+            echo "   $name.$ext matches golden"
+        else
+            echo "   $name.$ext DIFFERS from golden:" >&2
+            head -20 "$scratch/stream/$name.$ext.diff" >&2
+            failures=$((failures + 1))
+        fi
+    done
+}
+check_stream bv_linear6_c14_fm_is --app bv --topology linear:6 \
+    --capacity 14 --gate FM --reorder IS
+check_stream bv_linear6_c14_fm_gs_b0 --app bv --topology linear:6 \
+    --capacity 14 --gate FM --reorder GS --buffer 0
 
 # --- Every golden must have been checked by some path ---------------
 for golden_csv in "${golden_files[@]}"; do

@@ -59,8 +59,16 @@ InitialMapping
 mapQubits(const Circuit &circuit, const Topology &topo, int buffer_slots,
           MappingPolicy policy)
 {
+    return mapQubitsInOrder(firstUseOrder(circuit), topo, buffer_slots,
+                            policy);
+}
+
+InitialMapping
+mapQubitsInOrder(const std::vector<QubitId> &order, const Topology &topo,
+                 int buffer_slots, MappingPolicy policy)
+{
     fatalUnless(buffer_slots >= 0, "buffer slots must be non-negative");
-    const int n = circuit.numQubits();
+    const int n = static_cast<int>(order.size());
     const int traps = topo.trapCount();
     if (n > topo.totalCapacity()) [[unlikely]]
         throw ConfigError("application does not fit on the device: " +
@@ -84,8 +92,6 @@ mapQubits(const Circuit &circuit, const Topology &topo, int buffer_slots,
     mapping.effectiveBuffer = buffer;
     mapping.trapOf.assign(n, kInvalidId);
     mapping.chainOrder.assign(traps, {});
-
-    const std::vector<QubitId> order = firstUseOrder(circuit);
 
     // Per-trap fill targets: either capacity-minus-buffer (packed) or
     // an even division of the program across all traps (balanced, still
@@ -119,6 +125,8 @@ mapQubits(const Circuit &circuit, const Topology &topo, int buffer_slots,
 
     TrapId t = 0;
     for (QubitId q : order) {
+        panicUnless(q >= 0 && q < n && mapping.trapOf[q] == kInvalidId,
+                    "mapping order is not a permutation of the qubits");
         while (t < traps &&
                static_cast<int>(mapping.chainOrder[t].size()) >= fill[t])
             ++t;

@@ -65,6 +65,18 @@ InitialMapping mapQubits(const Circuit &circuit, const Topology &topo,
                          int buffer_slots,
                          MappingPolicy policy = MappingPolicy::Packed);
 
+/**
+ * mapQubits over a precomputed first-use @p order (what
+ * firstUseOrder() returns for the program; a SchedulePlan keeps it),
+ * so the schedules of one circuit scan its gates once.
+ *
+ * @param order every program qubit exactly once, in placement order
+ * @throws ConfigError if the program has more qubits than the device
+ */
+InitialMapping mapQubitsInOrder(const std::vector<QubitId> &order,
+                                const Topology &topo, int buffer_slots,
+                                MappingPolicy policy = MappingPolicy::Packed);
+
 /** Program qubits ordered by first use (then index for unused ones). */
 std::vector<QubitId> firstUseOrder(const Circuit &circuit);
 

@@ -9,14 +9,6 @@
 namespace qccd
 {
 
-namespace
-{
-
-/** Successor-link and front sentinel: no further gate on the qubit. */
-constexpr uint32_t kNoGate = UINT32_MAX;
-
-} // namespace
-
 PathCost
 Scheduler::pathCostFrom(const HardwareParams &hw)
 {
@@ -85,11 +77,14 @@ void
 Scheduler::validateAndInitEmitter()
 {
     hw_.validate();
-    for (const Gate &g : circuit_.gates()) {
-        if (!isNative(g.op) && g.op != Op::Barrier) [[unlikely]]
-            throw ConfigError(
-                "scheduler requires the native gate set; lower with "
-                "decomposeToNative() (found " + g.toString() + ")");
+    if (options_.plan == nullptr) {
+        scratch_->plan_.build(circuit_);
+        plan_ = &scratch_->plan_;
+    } else {
+        plan_ = options_.plan;
+        panicUnless(plan_->fits(circuit_),
+                    "schedule plan was built from a different circuit");
+        QCCD_CHECKED_ONLY(plan_->audit(circuit_);)
     }
     emitter_ = std::make_unique<PrimitiveEmitter>(
         *state_, hw_, result_.metrics,
@@ -98,84 +93,14 @@ Scheduler::validateAndInitEmitter()
 }
 
 void
-Scheduler::buildQueues()
+Scheduler::initQueues()
 {
     QCCD_FAULT_POINT("scheduler.build_queues");
 
-    SchedulerScratch &s = *scratch_;
-    const size_t n = circuit_.size();
-
-    // Gate indices and the kNoGate sentinel share uint32 cells.
-    fatalUnless(n < kNoGate,
-                "circuit too large for the scheduler's gate queue");
-
-    // One backward pass links each gate to the next gate on each of
-    // its operands, and counts per gate the operands that have an
-    // earlier gate to retire first. What the pass leaves in front_ is
-    // each qubit's first gate. Rebuilt every run — only the storage is
-    // pooled, so a recycled scratch can never serve stale links.
-    s.succ_.resize(n);
-    s.pending_.assign(n, 0);
-    s.front_.assign(circuit_.numQubits(), kNoGate);
-    size_t total = 0;
-    for (size_t gi = n; gi-- > 0;) {
-        const Gate &g = circuit_.gate(gi);
-        if (g.op == Op::Barrier)
-            continue;
-        const int arity = g.isTwoQubit() ? 2 : 1;
-        for (int k = 0; k < arity; ++k) {
-            const QubitId q = k == 0 ? g.q0 : g.q1;
-            const uint32_t next = s.front_[q];
-            s.succ_[gi][k] = next;
-            if (next != kNoGate)
-                ++s.pending_[next];
-            s.front_[q] = static_cast<uint32_t>(gi);
-        }
-        ++total;
-    }
-    gateCount_ = total;
-
-    // Checked builds re-derive both structures in a forward pass: each
-    // link must name the next later gate on its qubit (or kNoGate at
-    // the qubit's last gate), front_ the qubit's first gate, and each
-    // count the operands that have an earlier gate.
-    QCCD_CHECKED_ONLY({
-        std::vector<uint32_t> last(circuit_.numQubits(), kNoGate);
-        for (size_t gi = 0; gi < n; ++gi) {
-            const Gate &g = circuit_.gate(gi);
-            if (g.op == Op::Barrier)
-                continue;
-            const int arity = g.isTwoQubit() ? 2 : 1;
-            int preds = 0;
-            for (int k = 0; k < arity; ++k) {
-                const QubitId q = k == 0 ? g.q0 : g.q1;
-                if (last[q] == kNoGate) {
-                    panicUnless(s.front_[q] == gi,
-                                "front does not name a qubit's first gate");
-                } else {
-                    const Gate &prev = circuit_.gate(last[q]);
-                    panicUnless(s.succ_[last[q]][prev.q0 == q ? 0 : 1] ==
-                                    gi,
-                                "successor link skips the next gate on "
-                                "its qubit");
-                    ++preds;
-                }
-                last[q] = static_cast<uint32_t>(gi);
-            }
-            panicUnless(s.pending_[gi] == preds,
-                        "predecessor count does not match the circuit");
-        }
-        for (QubitId q = 0; q < circuit_.numQubits(); ++q) {
-            if (last[q] == kNoGate) {
-                panicUnless(s.front_[q] == kNoGate,
-                            "front names a gate on an idle qubit");
-                continue;
-            }
-            const Gate &g = circuit_.gate(last[q]);
-            panicUnless(s.succ_[last[q]][g.q0 == q ? 0 : 1] == kNoGate,
-                        "successor link runs past a qubit's last gate");
-        }
-    })
+    // The only per-run state the plan seeds; copy-assignment keeps the
+    // pooled storage once it is large enough.
+    scratch_->pending_ = plan_->pending();
+    scratch_->front_ = plan_->front();
 }
 
 void
@@ -187,8 +112,9 @@ Scheduler::placeInitialLayout()
     if (options_.placement != nullptr)
         result_.mapping = *options_.placement;
     else
-        result_.mapping = mapQubits(circuit_, topo_, hw_.bufferSlots,
-                                    options_.mappingPolicy);
+        result_.mapping =
+            mapQubitsInOrder(plan_->firstUseOrder(), topo_,
+                             hw_.bufferSlots, options_.mappingPolicy);
     result_.metrics.effectiveBuffer = result_.mapping.effectiveBuffer;
     for (TrapId t = 0; t < topo_.trapCount(); ++t) {
         for (QubitId q : result_.mapping.chainOrder[t]) {
@@ -206,15 +132,18 @@ Scheduler::nextGateIndex(QubitId q) const
     return gi == kNoGate ? SIZE_MAX : gi;
 }
 
-bool
+// gateReady, release and gateReadyTime run on every pop; `inline` keeps
+// GCC folding them into run(), where a call per release cost ~10% of a
+// sweep.
+inline bool
 Scheduler::gateReady(size_t gi) const
 {
-    const Gate &g = circuit_.gate(gi);
+    const SchedulePlan::GateRecord &g = plan_->gate(gi);
     const std::vector<uint32_t> &front = scratch_->front_;
-    return front[g.q0] == gi && (!g.isTwoQubit() || front[g.q1] == gi);
+    return front[g.q0] == gi && front[g.q1] == gi;
 }
 
-void
+inline void
 Scheduler::release(QubitId q, uint32_t next)
 {
     SchedulerScratch &s = *scratch_;
@@ -223,16 +152,13 @@ Scheduler::release(QubitId q, uint32_t next)
         s.ready_.push(gateReadyTime(next), next);
 }
 
-TimeUs
+inline TimeUs
 Scheduler::gateReadyTime(size_t gi) const
 {
-    const Gate &g = circuit_.gate(gi);
+    const SchedulePlan::GateRecord &g = plan_->gate(gi);
     const auto &ready =
         static_cast<const PrimitiveEmitter &>(*emitter_).qubitReady();
-    TimeUs t = ready[g.q0];
-    if (g.isTwoQubit())
-        t = std::max(t, ready[g.q1]);
-    return t;
+    return std::max(ready[g.q0], ready[g.q1]);
 }
 
 ScheduleResult
@@ -241,11 +167,11 @@ Scheduler::run()
     panicUnless(!ran_, "Scheduler::run may only be called once");
     ran_ = true;
 
-    buildQueues();
+    initQueues();
     placeInitialLayout();
 
     SchedulerScratch &s = *scratch_;
-    const size_t total = gateCount_;
+    const size_t total = plan_->executableGates();
     if (options_.collectTrace) {
         // Every gate emits at least one primitive; shuttle/reorder
         // expansion adds more. Pre-size for the common sweep shapes so
@@ -267,7 +193,7 @@ Scheduler::run()
         // A two-qubit gate fronts both operands; push it once.
         const uint32_t gi = s.front_[q];
         if (gi != kNoGate && s.pending_[gi] == 0 &&
-            circuit_.gate(gi).q0 == q)
+            plan_->gate(gi).q0 == q)
             ready.push(gateReadyTime(gi), gi);
     }
 
@@ -297,10 +223,10 @@ Scheduler::run()
 
         // Retire the gate: advance its operands' fronts and surface
         // the successors it was the last predecessor of.
-        const Gate &g = circuit_.gate(gi);
-        release(g.q0, s.succ_[gi][0]);
-        if (g.isTwoQubit())
-            release(g.q1, s.succ_[gi][1]);
+        const SchedulePlan::GateRecord &g = plan_->gate(gi);
+        release(g.q0, g.succ[0]);
+        if (g.kind == SchedulePlan::Kind::MS)
+            release(g.q1, g.succ[1]);
     }
 
     panicUnless(executed == total,
@@ -328,17 +254,18 @@ Scheduler::executeGate(size_t gi)
 {
     QCCD_FAULT_POINT("scheduler.execute");
 
-    const Gate &g = circuit_.gate(gi);
-    if (g.isMeasure()) {
+    const SchedulePlan::GateRecord &g = plan_->gate(gi);
+    if (g.kind == SchedulePlan::Kind::Measure) {
         emitter_->emitMeasure(g.q0, 0);
         return;
     }
-    if (g.isOneQubit()) {
+    if (g.kind == SchedulePlan::Kind::OneQubit) {
         emitter_->emitOneQubit(g.q0, 0);
         return;
     }
 
-    panicUnless(g.op == Op::MS, "unexpected non-native two-qubit gate");
+    panicUnless(g.kind == SchedulePlan::Kind::MS,
+                "a barrier escaped into the ready list");
 
     // Gate-based reordering teleports logical payloads between physical
     // ions (including during evictions that pass through other traps),

@@ -25,7 +25,6 @@
 #ifndef QCCD_COMPILER_SCHEDULER_HPP
 #define QCCD_COMPILER_SCHEDULER_HPP
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -39,6 +38,7 @@
 #include "compiler/ready_list.hpp"
 #include "compiler/reorder.hpp"
 #include "compiler/router.hpp"
+#include "compiler/schedule_plan.hpp"
 #include "models/params.hpp"
 #include "sim/device_state.hpp"
 #include "sim/metrics.hpp"
@@ -76,6 +76,16 @@ struct ScheduleOptions
     const InitialMapping *placement = nullptr;
 
     /**
+     * Precomputed plan of the circuit to schedule off instead of
+     * building one (the toolflow shares one across every schedule of a
+     * circuit). Must have been built from this circuit and must outlive
+     * the run. Its shape is always checked against the circuit, and
+     * checked builds re-derive all of it before the run. When null, the
+     * scheduler builds a plan into its SchedulerScratch.
+     */
+    const SchedulePlan *plan = nullptr;
+
+    /**
      * When set, every model-relevant primitive is recorded here in
      * emission order (see sim/model_replay.hpp), enabling model-knob
      * re-evaluation without re-scheduling. The log is NOT cleared by
@@ -98,11 +108,13 @@ struct ScheduleResult
  * A toolflow point schedules the same circuit up to twice (the real
  * pass and the zero-communication pass of the Fig. 6b decomposition),
  * and a sweep worker evaluates many points back to back. Passing one
- * scratch to every Scheduler pools the allocations: the successor
- * links, predecessor counts, per-qubit fronts and the ready list keep
- * their storage across runs (contents are rebuilt every run), and the
- * DeviceState is reset in place instead of reconstructed when the same
- * topology and ion count repeat. Contents are fully (re)initialized by
+ * scratch to every Scheduler pools the allocations: each run copies
+ * its plan's predecessor counts and per-qubit fronts into storage kept
+ * here, the ready list keeps its storage, and the DeviceState is reset
+ * in place instead of reconstructed when the same topology and ion
+ * count repeat. The successor links are not built per run: they live
+ * in the SchedulePlan, which a run borrows (ScheduleOptions::plan) or
+ * else builds into this scratch. Contents are fully (re)initialized by
  * each run, so results are bit-identical with and without a scratch.
  * Not thread-safe: use one scratch per worker.
  */
@@ -124,10 +136,12 @@ class SchedulerScratch
   private:
     friend class Scheduler;
 
-    /** Gate dependencies, rebuilt by every run in one backward pass
-     *  (only the storage is pooled: address-based circuit identity
-     *  would be unsound across pooled runs). @{ */
-    std::vector<std::array<uint32_t, 2>> succ_; ///< next gate per operand
+    /** Built here by every run that borrows no plan (only the storage
+     *  is pooled: address-based circuit identity would be unsound
+     *  across pooled runs). */
+    SchedulePlan plan_;
+
+    /** Per-run copies of the plan's mutable arrays. @{ */
     std::vector<uint8_t> pending_; ///< per gate: unretired predecessors
     std::vector<uint32_t> front_;  ///< per qubit: next unexecuted gate
     /** @} */
@@ -190,18 +204,22 @@ class Scheduler
     SchedulerScratch ownScratch_; ///< used when the caller gave none
     SchedulerScratch *scratch_;   ///< buffers this run schedules out of
     DeviceState *state_;          ///< lives in scratch_->state_
+    const SchedulePlan *plan_ = nullptr; ///< borrowed or scratch_->plan_
 
     ScheduleResult result_;
     std::unique_ptr<PrimitiveEmitter> emitter_;
 
-    size_t gateCount_ = 0; ///< non-barrier gates, set by buildQueues
     bool ran_ = false;
 
     /** Emplace or reset the pooled DeviceState for this run. */
     void initState();
 
+    /** Validate the knobs, bind (or build) the plan, make the emitter. */
     void validateAndInitEmitter();
-    void buildQueues();
+
+    /** Copy the plan's counts and fronts into the scratch. */
+    void initQueues();
+
     void placeInitialLayout();
 
     /** Gate index of qubit @p q's next pending gate (SIZE_MAX if none). */

@@ -186,6 +186,7 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
         deltaStats_.fullSchedules += s.fullSchedules;
         deltaStats_.replays += s.replays;
         deltaStats_.placementsReused += s.placementsReused;
+        deltaStats_.plansBuilt += s.plansBuilt;
     }
 
     for (size_t i = 0; i < batch.size(); ++i) {

@@ -92,29 +92,37 @@ namespace
 {
 
 /**
- * The shared body of every full toolflow evaluation. @p placement
- * optionally injects a cached initial mapping; without one, the real
- * pass maps and the zero-communication pass adopts its mapping, so
- * mapQubits runs at most once per point. @p mapping_out, when set,
- * receives the mapping both passes used. @p log optionally records
- * the real pass's model-relevant primitives for later replay (the
- * zero-communication pass is schedule-determined and never replayed,
- * so it is not logged).
+ * The shared body of every full toolflow evaluation. @p plan
+ * optionally injects a cached plan of @p native; without one, the
+ * point builds one plan for both passes. @p placement optionally
+ * injects a cached initial mapping; without one, the real pass maps
+ * and the zero-communication pass adopts its mapping, so mapQubits
+ * runs at most once per point. @p mapping_out, when set, receives the
+ * mapping both passes used. @p log optionally records the real pass's
+ * model-relevant primitives for later replay (the zero-communication
+ * pass is schedule-determined and never replayed, so it is not
+ * logged).
  */
 RunResult
 runToolflowImpl(const Circuit &native, const DesignPoint &design,
                 const ToolflowContext &context,
                 const RunOptions &options, SchedulerScratch *scratch,
-                const InitialMapping *placement, ModelEvalLog *log,
-                InitialMapping *mapping_out)
+                const SchedulePlan *plan, const InitialMapping *placement,
+                ModelEvalLog *log, InitialMapping *mapping_out)
 {
     QCCD_FAULT_POINT("toolflow.run");
 
     // Both passes (and, through the caller's scratch, consecutive
-    // points of a sweep worker) schedule out of one buffer pool.
+    // points of a sweep worker) schedule out of one buffer pool and
+    // one plan.
     SchedulerScratch local;
     if (scratch == nullptr)
         scratch = &local;
+    SchedulePlan local_plan;
+    if (plan == nullptr) {
+        local_plan.build(native);
+        plan = &local_plan;
+    }
 
     // One watchdog budget covers the whole point: both passes share
     // the same absolute due time, armed when evaluation starts.
@@ -131,6 +139,7 @@ runToolflowImpl(const Circuit &native, const DesignPoint &design,
         sched.mappingPolicy = options.mappingPolicy;
         sched.deadline = deadline;
         sched.placement = placement;
+        sched.plan = plan;
         sched.modelLog = log;
         Scheduler scheduler(native, context.topology(), design.hw,
                             context.paths(), sched, scratch);
@@ -142,15 +151,16 @@ runToolflowImpl(const Circuit &native, const DesignPoint &design,
         // Second pass with shuttling idealized to zero duration yields
         // the pure computation critical path; the difference is the
         // communication share (Fig. 6b's decomposition). The pass
-        // reuses the lowered circuit, the shared context, the first
-        // pass's mapping and its scratch buffers: only the schedule
-        // itself is recomputed.
+        // reuses the lowered circuit and its plan, the shared context,
+        // the first pass's mapping and its scratch buffers: only the
+        // schedule itself is recomputed.
         ScheduleOptions sched;
         sched.collectTrace = false;
         sched.zeroCommTimes = true;
         sched.mappingPolicy = options.mappingPolicy;
         sched.deadline = deadline;
         sched.placement = &mapping;
+        sched.plan = plan;
         Scheduler scheduler(native, context.topology(), design.hw,
                             context.paths(), sched, scratch);
         result.computeOnlyTime = scheduler.run().metrics.makespan;
@@ -168,7 +178,7 @@ runToolflow(const Circuit &native, const DesignPoint &design,
             SchedulerScratch *scratch)
 {
     return runToolflowImpl(native, design, context, options, scratch,
-                           nullptr, nullptr, nullptr);
+                           nullptr, nullptr, nullptr, nullptr);
 }
 
 RunResult
@@ -213,10 +223,23 @@ StagedToolflow::run(const Circuit &native, const DesignPoint &design,
     // paired with the new key.
     haveSchedule_ = false;
     log_.clear();
+
+    // The plan depends on the circuit alone; the schedule key carries
+    // the circuit's identity. Invalidate it before a rebuild, so a
+    // throw (a non-native circuit) never leaves a half-built plan
+    // paired with any circuit.
+    if (!havePlan_ || planCircuit_ != key.circuit) {
+        havePlan_ = false;
+        plan_.build(native);
+        planCircuit_ = key.circuit;
+        havePlan_ = true;
+        ++stats_.plansBuilt;
+    }
+
     InitialMapping mapped;
     RunResult result = runToolflowImpl(native, design, context, options,
-                                       &scratch_, placement, &log_,
-                                       &mapped);
+                                       &scratch_, &plan_, placement,
+                                       &log_, &mapped);
     ++stats_.fullSchedules;
 
     scheduleKey_ = key;

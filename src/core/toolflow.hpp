@@ -222,21 +222,26 @@ ScheduleKey scheduleKeyFor(const Circuit &native,
 
 /**
  * Per-worker staged evaluator: runToolflow split into keyed, reusable
- * stages (placement → schedule → model evaluation).
+ * stages (plan → placement → schedule → model evaluation).
  *
  * Consecutive run() calls compare stage keys against the previous
- * point's. Equal placement key: the cached InitialMapping is adopted
- * instead of re-running mapQubits. Equal schedule key: the whole
- * schedule is reused — the cached run's recorded ModelEvalLog is
- * replayed under the new point's model knobs, re-evaluating only the
- * model-dependent metrics (a large multiple cheaper than scheduling).
- * Results are bit-identical to scalar runToolflow calls in any order;
- * SweepEngine orders each batch by schedule key so model-knob axes
- * collapse onto one full schedule per key.
+ * point's. Same circuit: the cached SchedulePlan (successor links,
+ * initial counts and fronts, first-use order) is scheduled off again
+ * instead of being rebuilt, which a sweep's per-app blocks hit on
+ * nearly every point (Fig. 8 schedules one circuit 48 times). Equal
+ * placement key: the cached InitialMapping is adopted instead of
+ * re-running mapQubits. Equal schedule key: the whole schedule is
+ * reused — the cached run's recorded ModelEvalLog is replayed under
+ * the new point's model knobs, re-evaluating only the model-dependent
+ * metrics (a large multiple cheaper than scheduling). Results are
+ * bit-identical to scalar runToolflow calls in any order; SweepEngine
+ * orders each batch by schedule key so model-knob axes collapse onto
+ * one full schedule per key.
  *
  * Holds a SchedulerScratch and the stage caches; not thread-safe (one
- * instance per worker). Cached keys hold circuit addresses, so a
- * StagedToolflow must not outlive the circuits it has evaluated.
+ * instance per worker). The plan cache and the cached keys name their
+ * circuit by address (as PlacementKey does), so a StagedToolflow must
+ * not outlive the circuits it has evaluated.
  */
 class StagedToolflow
 {
@@ -247,6 +252,7 @@ class StagedToolflow
         size_t fullSchedules = 0;    ///< points that ran the scheduler
         size_t replays = 0;          ///< points served by model replay
         size_t placementsReused = 0; ///< full runs that skipped mapQubits
+        size_t plansBuilt = 0;       ///< schedule plans built (per new circuit)
     };
 
     /**
@@ -265,6 +271,13 @@ class StagedToolflow
 
   private:
     SchedulerScratch scratch_;
+
+    /** Plan cache: the plan of the most recent full schedule's circuit
+     *  (ScheduleKey::circuit). @{ */
+    bool havePlan_ = false;
+    std::uintptr_t planCircuit_ = 0;
+    SchedulePlan plan_;
+    /** @} */
 
     /** Placement stage cache (last distinct mapping). @{ */
     bool havePlacement_ = false;

@@ -27,80 +27,6 @@ SimResult::meanMotionalError() const
 }
 
 void
-SimResult::noteMsOp(TimeUs end, TimeUs duration, bool for_comm,
-                    double err_background, double err_motional,
-                    double fidelity, double log_fidelity)
-{
-    makespan = std::max(makespan, end);
-    if (for_comm)
-        ++counts.reorderMs;
-    else
-        ++counts.algorithmMs;
-    sumBackgroundError += err_background;
-    sumMotionalError += err_motional;
-
-    if (for_comm)
-        commBusy += duration;
-    else
-        computeBusy += duration;
-
-    if (fidelity <= 0)
-        ++zeroFidelityOps;
-    logFidelity += log_fidelity;
-}
-
-void
-SimResult::noteSimpleOp(PrimKind kind, TimeUs end, TimeUs duration,
-                        bool for_comm, double fidelity,
-                        double log_fidelity)
-{
-    makespan = std::max(makespan, end);
-
-    switch (kind) {
-      case PrimKind::GateMS:
-        // MS gates carry error sums; they must go through noteMsOp.
-        if (for_comm)
-            ++counts.reorderMs;
-        else
-            ++counts.algorithmMs;
-        break;
-      case PrimKind::Gate1Q:
-        ++counts.oneQubit;
-        break;
-      case PrimKind::Measure:
-        ++counts.measurements;
-        break;
-      case PrimKind::Split:
-        ++counts.splits;
-        break;
-      case PrimKind::Merge:
-        ++counts.merges;
-        break;
-      case PrimKind::Move:
-        ++counts.moves;
-        break;
-      case PrimKind::JunctionCross:
-        ++counts.junctionCrossings;
-        break;
-      case PrimKind::Rotate:
-        ++counts.rotations;
-        break;
-      case PrimKind::Transit:
-        ++counts.transits;
-        break;
-    }
-
-    if (for_comm)
-        commBusy += duration;
-    else
-        computeBusy += duration;
-
-    if (fidelity <= 0)
-        ++zeroFidelityOps;
-    logFidelity += log_fidelity;
-}
-
-void
 SimResult::noteOp(const PrimOp &op)
 {
     const double log_fid =

@@ -11,6 +11,8 @@
 #ifndef QCCD_SIM_METRICS_HPP
 #define QCCD_SIM_METRICS_HPP
 
+#include <algorithm>
+
 #include "sim/trace.hpp"
 
 namespace qccd
@@ -84,7 +86,8 @@ struct SimResult
      * requiring a populated PrimOp, for the no-trace schedule mode. The
      * caller passes log(max(fidelity, kMinFidelity)) precomputed — the
      * emitter memoizes it for the constant-fidelity op kinds — so the
-     * accumulated sums match noteOp's bit for bit. @{
+     * accumulated sums match noteOp's bit for bit. Inline, so a caller
+     * with a constant kind folds the kind switch away. @{
      */
     void noteMsOp(TimeUs end, TimeUs duration, bool for_comm,
                   double err_background, double err_motional,
@@ -94,6 +97,80 @@ struct SimResult
                       double log_fidelity);
     /** @} */
 };
+
+inline void
+SimResult::noteMsOp(TimeUs end, TimeUs duration, bool for_comm,
+                    double err_background, double err_motional,
+                    double fidelity, double log_fidelity)
+{
+    makespan = std::max(makespan, end);
+    if (for_comm)
+        ++counts.reorderMs;
+    else
+        ++counts.algorithmMs;
+    sumBackgroundError += err_background;
+    sumMotionalError += err_motional;
+
+    if (for_comm)
+        commBusy += duration;
+    else
+        computeBusy += duration;
+
+    if (fidelity <= 0)
+        ++zeroFidelityOps;
+    logFidelity += log_fidelity;
+}
+
+inline void
+SimResult::noteSimpleOp(PrimKind kind, TimeUs end, TimeUs duration,
+                        bool for_comm, double fidelity,
+                        double log_fidelity)
+{
+    makespan = std::max(makespan, end);
+
+    switch (kind) {
+      case PrimKind::GateMS:
+        // MS gates carry error sums; they must go through noteMsOp.
+        if (for_comm)
+            ++counts.reorderMs;
+        else
+            ++counts.algorithmMs;
+        break;
+      case PrimKind::Gate1Q:
+        ++counts.oneQubit;
+        break;
+      case PrimKind::Measure:
+        ++counts.measurements;
+        break;
+      case PrimKind::Split:
+        ++counts.splits;
+        break;
+      case PrimKind::Merge:
+        ++counts.merges;
+        break;
+      case PrimKind::Move:
+        ++counts.moves;
+        break;
+      case PrimKind::JunctionCross:
+        ++counts.junctionCrossings;
+        break;
+      case PrimKind::Rotate:
+        ++counts.rotations;
+        break;
+      case PrimKind::Transit:
+        ++counts.transits;
+        break;
+    }
+
+    if (for_comm)
+        commBusy += duration;
+    else
+        computeBusy += duration;
+
+    if (fidelity <= 0)
+        ++zeroFidelityOps;
+    logFidelity += log_fidelity;
+}
 
 } // namespace qccd
 

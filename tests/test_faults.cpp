@@ -24,6 +24,7 @@
 #include "core/export.hpp"
 #include "core/sweep_engine.hpp"
 #include "core/sweep_spec.hpp"
+#include "core/toolflow.hpp"
 
 namespace qccd
 {
@@ -220,6 +221,36 @@ TEST_F(FaultsTest, ClearDisarmsAndResetsCounters)
 // ---------------------------------------------------------------------
 // Watchdog deadlines
 // ---------------------------------------------------------------------
+
+TEST_F(FaultsTest, QueueFaultLeavesTheStagedPlanCacheSound)
+{
+    // scheduler.build_queues fires in every run's setup, after the
+    // StagedToolflow has built and cached the circuit's plan. The
+    // faulted point fails; the next point on the same evaluator and
+    // circuit reuses that plan and must equal the scalar run.
+    const Circuit native = decomposeToNative(makeQft(16));
+    const DesignPoint dp = DesignPoint::linear(3, 8);
+    const ToolflowContext context(dp);
+    RunOptions options;
+    options.decomposeRuntime = true;
+
+    StagedToolflow staged;
+    setFaultInjectSpec("scheduler.build_queues=1");
+    EXPECT_THROW(staged.run(native, dp, context, options), InternalError);
+    const RunResult got = staged.run(native, dp, context, options);
+    clearFaultInject();
+
+    const RunResult want = runToolflow(native, dp, context, options);
+    EXPECT_EQ(got.sim.makespan, want.sim.makespan);
+    EXPECT_EQ(got.sim.logFidelity, want.sim.logFidelity);
+    EXPECT_EQ(got.sim.maxChainEnergy, want.sim.maxChainEnergy);
+    EXPECT_EQ(got.computeOnlyTime, want.computeOnlyTime);
+    EXPECT_EQ(got.sim.counts.shuttles, want.sim.counts.shuttles);
+    EXPECT_EQ(got.sim.counts.evictions, want.sim.counts.evictions);
+    EXPECT_GT(got.sim.counts.shuttles, 0);
+    EXPECT_EQ(staged.stats().plansBuilt, 1u);
+    EXPECT_EQ(staged.stats().fullSchedules, 1u);
+}
 
 TEST(DeadlineTest, DefaultIsUnarmedAndNeverThrows)
 {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/builders.hpp"
@@ -13,6 +18,7 @@
 #include "common/rng.hpp"
 #include "compiler/scheduler.hpp"
 #include "core/toolflow.hpp"
+#include "sim/model_replay.hpp"
 
 namespace qccd
 {
@@ -316,6 +322,91 @@ runDigest(const RunResult &r)
     return h.digest().hex();
 }
 
+/** Bit-for-bit equality of two doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool
+sameMetrics(const SimResult &a, const SimResult &b)
+{
+    const OpCounts &x = a.counts;
+    const OpCounts &y = b.counts;
+    return sameBits(a.makespan, b.makespan) &&
+           sameBits(a.logFidelity, b.logFidelity) &&
+           sameBits(a.maxChainEnergy, b.maxChainEnergy) &&
+           sameBits(a.sumBackgroundError, b.sumBackgroundError) &&
+           sameBits(a.sumMotionalError, b.sumMotionalError) &&
+           sameBits(a.computeBusy, b.computeBusy) &&
+           sameBits(a.commBusy, b.commBusy) &&
+           a.zeroFidelityOps == b.zeroFidelityOps &&
+           a.effectiveBuffer == b.effectiveBuffer &&
+           x.algorithmMs == y.algorithmMs && x.reorderMs == y.reorderMs &&
+           x.oneQubit == y.oneQubit && x.measurements == y.measurements &&
+           x.splits == y.splits && x.merges == y.merges &&
+           x.moves == y.moves && x.segmentsMoved == y.segmentsMoved &&
+           x.junctionCrossings == y.junctionCrossings &&
+           x.rotations == y.rotations && x.transits == y.transits &&
+           x.shuttles == y.shuttles && x.evictions == y.evictions &&
+           x.trapPassThroughs == y.trapPassThroughs;
+}
+
+bool
+sameOp(const PrimOp &a, const PrimOp &b)
+{
+    return a.kind == b.kind && sameBits(a.start, b.start) &&
+           sameBits(a.duration, b.duration) && a.trap == b.trap &&
+           a.edge == b.edge && a.junction == b.junction &&
+           a.ion == b.ion && a.q0 == b.q0 && a.q1 == b.q1 &&
+           a.chainLength == b.chainLength &&
+           a.separation == b.separation && sameBits(a.nbar, b.nbar) &&
+           sameBits(a.errBackground, b.errBackground) &&
+           sameBits(a.errMotional, b.errMotional) &&
+           sameBits(a.fidelity, b.fidelity) &&
+           a.forCommunication == b.forCommunication;
+}
+
+bool
+sameEvent(const ModelEvalLog::Event &a, const ModelEvalLog::Event &b)
+{
+    return a.kind == b.kind && a.trap == b.trap && a.a == b.a &&
+           sameBits(a.physDur, b.physDur);
+}
+
+/**
+ * Compare two schedules field by field, bit for bit: every SimResult
+ * metric, every field of every traced primitive, the initial mapping,
+ * and every event of their model logs. Returns the first part that
+ * differs, or an empty string when they are identical.
+ */
+std::string
+scheduleMismatch(const ScheduleResult &a, const ModelEvalLog &log_a,
+                 const ScheduleResult &b, const ModelEvalLog &log_b)
+{
+    if (!sameMetrics(a.metrics, b.metrics))
+        return "metrics";
+    if (a.trace.size() != b.trace.size())
+        return "trace length";
+    for (size_t i = 0; i < a.trace.size(); ++i) {
+        if (!sameOp(a.trace[i], b.trace[i]))
+            return "trace op " + std::to_string(i);
+    }
+    if (a.mapping.trapOf != b.mapping.trapOf ||
+        a.mapping.chainOrder != b.mapping.chainOrder ||
+        a.mapping.effectiveBuffer != b.mapping.effectiveBuffer)
+        return "mapping";
+    if (log_a.maxChain() != log_b.maxChain() ||
+        log_a.events().size() != log_b.events().size())
+        return "model log shape";
+    for (size_t i = 0; i < log_a.events().size(); ++i) {
+        if (!sameEvent(log_a.events()[i], log_b.events()[i]))
+            return "model log event " + std::to_string(i);
+    }
+    return "";
+}
+
 /**
  * A seeded native circuit of one-qubit rotations and MS gates, closed
  * by measuring every qubit. @p barriers interleaves barriers (which
@@ -480,6 +571,198 @@ TEST(Scheduler, StagedRunsMatchPinnedSchedules)
     }
     EXPECT_EQ(staged.stats().fullSchedules, runs);
     EXPECT_EQ(staged.stats().placementsReused, runs / 2);
+}
+
+/** One configuration of the plan-sharing differential. */
+struct PlanCase
+{
+    std::string label;
+    const Circuit *native;
+    DesignPoint design;
+    MappingPolicy policy = MappingPolicy::Packed;
+};
+
+/** One traced Scheduler pass of @p pc, borrowing @p plan if given. */
+ScheduleResult
+schedulePass(const PlanCase &pc, const ToolflowContext &context,
+             const SchedulePlan *plan, bool zero_comm,
+             const InitialMapping *placement, ModelEvalLog *log,
+             SchedulerScratch *scratch)
+{
+    ScheduleOptions options;
+    options.zeroCommTimes = zero_comm;
+    options.mappingPolicy = pc.policy;
+    options.placement = placement;
+    options.plan = plan;
+    options.modelLog = log;
+    Scheduler sched(*pc.native, context.topology(), pc.design.hw,
+                    context.paths(), options, scratch);
+    return sched.run();
+}
+
+TEST(Scheduler, SharedPlanMatchesPerRunPlanInAnyOrder)
+{
+    // The nine pinned cases, plus Fig. 8's microarchitecture grid on
+    // three applications at three capacities. Each circuit's
+    // configurations run in scrambled order off ONE plan (and one
+    // scratch, as a sweep worker runs them); each real pass, its model
+    // log and its zero-communication pass must equal runs that build
+    // their own plan.
+    static const std::vector<Circuit> apps = {
+        decomposeToNative(makeBenchmark("adder")),
+        decomposeToNative(makeBenchmark("qft")),
+        decomposeToNative(makeBenchmark("supremacy")),
+    };
+    std::vector<PlanCase> cases;
+    for (const PinnedCase &pc : pinnedCases())
+        cases.push_back({pc.label, &pinnedCircuits().at(pc.circuit),
+                         pinnedDesign(pc), pc.policy});
+    for (const Circuit &native : apps) {
+        for (const GateImpl gate :
+             {GateImpl::AM1, GateImpl::AM2, GateImpl::FM, GateImpl::PM}) {
+            for (const ReorderMethod reorder :
+                 {ReorderMethod::GS, ReorderMethod::IS}) {
+                for (const int cap : {14, 22, 34}) {
+                    const DesignPoint dp =
+                        DesignPoint::linear(6, cap, gate, reorder);
+                    cases.push_back({native.name() + " " + dp.label(),
+                                     &native, dp});
+                }
+            }
+        }
+    }
+    Rng rng(1414);
+    for (size_t i = cases.size(); i > 1; --i)
+        std::swap(cases[i - 1], cases[rng.nextBelow(i)]);
+
+    std::vector<const Circuit *> circuits;
+    for (const PlanCase &pc : cases) {
+        if (std::find(circuits.begin(), circuits.end(), pc.native) ==
+            circuits.end())
+            circuits.push_back(pc.native);
+    }
+    ASSERT_EQ(circuits.size(), pinnedCircuits().size() + apps.size());
+
+    size_t checked = 0;
+    for (const Circuit *native : circuits) {
+        const SchedulePlan plan(*native);
+        SchedulerScratch scratch;
+        for (const PlanCase &pc : cases) {
+            if (pc.native != native)
+                continue;
+            const ToolflowContext context(pc.design);
+            ModelEvalLog own_log;
+            ModelEvalLog shared_log;
+            const ScheduleResult own = schedulePass(
+                pc, context, nullptr, false, nullptr, &own_log, nullptr);
+            const ScheduleResult shared = schedulePass(
+                pc, context, &plan, false, nullptr, &shared_log,
+                &scratch);
+            EXPECT_EQ(scheduleMismatch(shared, shared_log, own, own_log),
+                      "")
+                << pc.label;
+
+            const ModelEvalLog none;
+            const ScheduleResult own_zero =
+                schedulePass(pc, context, nullptr, true, &own.mapping,
+                             nullptr, nullptr);
+            const ScheduleResult shared_zero =
+                schedulePass(pc, context, &plan, true, &shared.mapping,
+                             nullptr, &scratch);
+            EXPECT_GT(own_zero.metrics.makespan, 0) << pc.label;
+            EXPECT_EQ(scheduleMismatch(shared_zero, none, own_zero, none),
+                      "")
+                << pc.label;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, pinnedCases().size() + 72);
+}
+
+TEST(Scheduler, StagedPlanCacheFollowsCircuitSwitches)
+{
+    // Two circuits of one shape (same gate and qubit counts), so only
+    // the circuit's identity tells their plans apart. Every point must
+    // equal the scalar run, and a plan is built exactly when the
+    // circuit differs from the previous point's.
+    const Circuit a = randomNative(16, 200, 4141, false, false);
+    const Circuit b = randomNative(16, 200, 4242, false, false);
+    ASSERT_EQ(a.size(), b.size());
+    const DesignPoint base = DesignPoint::linear(3, 8);
+    const ToolflowContext context(base);
+    RunOptions options;
+    options.decomposeRuntime = true;
+
+    const Circuit *sequence[] = {&a, &b, &a, &b, &b, &a, &a, &b};
+    const GateImpl gates[] = {GateImpl::FM, GateImpl::AM1, GateImpl::AM2,
+                              GateImpl::PM};
+    StagedToolflow staged;
+    size_t switches = 0;
+    const Circuit *previous = nullptr;
+    for (size_t i = 0; i < std::size(sequence); ++i) {
+        const Circuit &native = *sequence[i];
+        DesignPoint dp = base;
+        dp.hw.gateImpl = gates[i % std::size(gates)];
+        dp.hw.reorder = i % 3 == 0 ? ReorderMethod::IS : ReorderMethod::GS;
+        switches += &native != previous ? 1 : 0;
+        previous = &native;
+        EXPECT_EQ(runDigest(staged.run(native, dp, context, options)),
+                  runDigest(runToolflow(native, dp, context, options)))
+            << "point " << i;
+        EXPECT_EQ(staged.stats().plansBuilt, switches) << "point " << i;
+    }
+    EXPECT_EQ(switches, 6u);
+    EXPECT_EQ(staged.stats().fullSchedules, std::size(sequence));
+}
+
+TEST(Scheduler, NonNativeCircuitFailsAlikeEverywhere)
+{
+    // The plan's native-set check names the first foreign gate in
+    // program order, with one text whether the Scheduler builds the
+    // plan or a StagedToolflow does.
+    Circuit c(4);
+    c.h(0);
+    c.cx(0, 1);
+    c.cz(2, 3);
+    c.measureAll();
+    const DesignPoint dp = DesignPoint::linear(2, 6);
+    const ToolflowContext context(dp);
+
+    std::string direct;
+    try {
+        Scheduler sched(c, context.topology(), dp.hw);
+    } catch (const ConfigError &e) {
+        direct = e.what();
+    }
+    EXPECT_EQ(direct, "scheduler requires the native gate set; lower with "
+                      "decomposeToNative() (found " +
+                          c.gate(1).toString() + ")");
+
+    // A native circuit caches its plan first; the failed build then
+    // drops it, so the native circuit's next point rebuilds instead of
+    // scheduling off the half-built plan the throw left behind.
+    const Circuit &native = pinnedCircuits().at(0);
+    const DesignPoint native_dp = DesignPoint::linear(4, 10);
+    const ToolflowContext native_context(native_dp);
+    const std::string want =
+        runDigest(runToolflow(native, native_dp, native_context, {}));
+    StagedToolflow staged;
+    EXPECT_EQ(runDigest(staged.run(native, native_dp, native_context, {})),
+              want);
+    for (int round = 0; round < 2; ++round) {
+        std::string through_staged;
+        try {
+            staged.run(c, dp, context, {});
+        } catch (const ConfigError &e) {
+            through_staged = e.what();
+        }
+        EXPECT_EQ(through_staged, direct) << "round " << round;
+    }
+    EXPECT_EQ(staged.stats().plansBuilt, 1u);
+    EXPECT_EQ(runDigest(staged.run(native, native_dp, native_context, {})),
+              want);
+    EXPECT_EQ(staged.stats().plansBuilt, 2u);
+    EXPECT_EQ(staged.stats().fullSchedules, 2u);
 }
 
 } // namespace
