@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks: throughput of the physical models,
- * the OpenQASM parser, workload generation, and the full compile +
- * simulate toolflow. These verify the simulator itself is fast enough
- * for large design-space sweeps (hundreds of runs per figure).
+ * the OpenQASM parser, workload generation, lowering, the result
+ * store's circuit digest, and the full compile + simulate toolflow.
+ * These verify the simulator itself is fast enough for large
+ * design-space sweeps (hundreds of runs per figure).
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "circuit/qasm/parser.hpp"
 #include "circuit/qasm/writer.hpp"
 #include "compiler/scheduler.hpp"
+#include "core/result_store.hpp"
 #include "core/sweep_engine.hpp"
 #include "core/toolflow.hpp"
 #include "models/model_tables.hpp"
@@ -94,6 +96,20 @@ BM_DecomposeQft(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DecomposeQft);
+
+/** The result store's circuit digest: what a warm rerun computes for
+ *  every lowered circuit before it can look a point up. */
+void
+BM_CircuitDigest(benchmark::State &state, const char *app)
+{
+    const Circuit native = decomposeToNative(makeBenchmark(app));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ResultStore::circuitDigest(native));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(native.size()));
+}
+BENCHMARK_CAPTURE(BM_CircuitDigest, qft, "qft");
+BENCHMARK_CAPTURE(BM_CircuitDigest, supremacy, "supremacy");
 
 void
 BM_ScheduleQft(benchmark::State &state)

@@ -9,6 +9,8 @@
 # plus sharded spec runs whose concatenated outputs must reproduce the
 # unsharded files byte-for-byte, a cold+warm result-cache pass over
 # the sensitivity sweep (the staged toolflow's replay-heavy best case),
+# a warm pass over the committed cache-schema-1 store
+# (golden/schema1.qcache, written by an earlier build),
 # and the full primitive stream (--trace dump and .isa file) of two
 # single-point runs against golden/*.trace and golden/*.isa.
 # Any diff means a change altered the
@@ -195,6 +197,38 @@ if (cd "$scratch/warm" &&
     echo "   cold and warm cache runs match golden"
 else
     echo "   WARM-CACHE RUN DIFFERS from golden/sensitivity_fidelity.csv" >&2
+    failures=$((failures + 1))
+fi
+
+# --- Cache-schema-1 keys across builds ------------------------------
+# golden/schema1.qcache was filled cold by an earlier build over three
+# specs (no topo: grids: their keys embed the file's resolved path).
+# This build must find every point in a copy of it, insert nothing,
+# emit golden rows and leave the copy's bytes unchanged; a key change
+# would otherwise show only as users' caches silently going cold. Its
+# own directory keeps its cache: lines out of the cold-run grep above.
+echo "== schema-1 store fixture, every point warm =="
+mkdir -p "$scratch/schema1"
+cp "$GOLDEN_DIR/schema1.qcache" "$scratch/schema1/fixture.qcache"
+for pair in fig6:fig6_trap_sizing mixed_apps:mixed_apps \
+        sensitivity_fidelity:sensitivity_fidelity; do
+    spec=${pair%%:*}
+    name=${pair##*:}
+    if (cd "$scratch/schema1" &&
+            "$EXPLORE" --sweep "$SWEEP_DIR/$spec.sweep" --out "$name.csv" \
+                --cache fixture.qcache > "$spec.log" 2>&1 &&
+            grep -q ' misses=0 inserts=0 ' "$spec.log" &&
+            cmp -s "$name.csv" "$GOLDEN_DIR/$name.csv"); then
+        echo "   $spec.sweep hits the fixture and matches golden"
+    else
+        echo "   $spec.sweep MISSED the schema-1 fixture or DIFFERS" \
+            "(see $scratch/schema1/$spec.log)" >&2
+        failures=$((failures + 1))
+    fi
+done
+if ! cmp -s "$scratch/schema1/fixture.qcache" \
+        "$GOLDEN_DIR/schema1.qcache"; then
+    echo "   the warm runs CHANGED the schema-1 fixture's bytes" >&2
     failures=$((failures + 1))
 fi
 

@@ -32,6 +32,9 @@ class Circuit
     /** Append a gate; validates operand ranges. */
     void add(const Gate &gate);
 
+    /** Size the gate storage for @p n gates in total. */
+    void reserve(size_t n) { gates_.reserve(n); }
+
     /** Convenience builders (validate like add). @{ */
     void h(QubitId q) { add(Gate::one(Op::H, q)); }
     void x(QubitId q) { add(Gate::one(Op::X, q)); }

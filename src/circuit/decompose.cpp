@@ -73,10 +73,27 @@ msCostOf(Op op)
     }
 }
 
+int
+nativeCountOf(Op op)
+{
+    switch (op) {
+      case Op::Barrier: return 0;
+      case Op::CX: return 5;
+      case Op::CZ: return 7;
+      case Op::CPhase: return 13;
+      case Op::Swap: return 15;
+      default: return 1;
+    }
+}
+
 Circuit
 decomposeToNative(const Circuit &input)
 {
+    size_t native = 0;
+    for (const Gate &g : input.gates())
+        native += static_cast<size_t>(nativeCountOf(g.op));
     Circuit out(input.numQubits(), input.name());
+    out.reserve(native);
     for (const Gate &g : input.gates()) {
         if (g.op == Op::Barrier)
             continue;

@@ -28,6 +28,10 @@ Circuit decomposeToNative(const Circuit &input);
 /** Number of MS gates the decomposition emits for one @p op. */
 int msCostOf(Op op);
 
+/** Number of native gates the decomposition emits for one @p op, so
+ *  decomposeToNative() sizes its output once. */
+int nativeCountOf(Op op);
+
 } // namespace qccd
 
 #endif // QCCD_CIRCUIT_DECOMPOSE_HPP

@@ -1,31 +1,7 @@
 #include "common/hash.hpp"
 
-#include <bit>
-
 namespace qccd
 {
-
-namespace
-{
-
-/** Field tags; see StableHash. Values are part of the on-disk schema
- *  (they enter every stored key) — never renumber, only append. */
-enum : unsigned char
-{
-    kTagU32 = 1,
-    kTagU64 = 2,
-    kTagI64 = 3,
-    kTagF64 = 4,
-    kTagStr = 5,
-};
-
-uint64_t
-foldByte(uint64_t state, unsigned char byte)
-{
-    return (state ^ byte) * kFnvPrime;
-}
-
-} // namespace
 
 uint64_t
 fnv1a64(const void *data, size_t len, uint64_t seed)
@@ -33,7 +9,7 @@ fnv1a64(const void *data, size_t len, uint64_t seed)
     const auto *bytes = static_cast<const unsigned char *>(data);
     uint64_t state = seed;
     for (size_t i = 0; i < len; ++i)
-        state = foldByte(state, bytes[i]);
+        state = hash_detail::fnvFold(state, bytes[i]);
     return state;
 }
 
@@ -54,53 +30,15 @@ StableHash::bytes(const void *data, size_t len)
 {
     const auto *p = static_cast<const unsigned char *>(data);
     for (size_t i = 0; i < len; ++i) {
-        hi_ = foldByte(hi_, p[i]);
-        lo_ = foldByte(lo_, p[i]);
+        hi_ = hash_detail::fnvFold(hi_, p[i]);
+        lo_ = hash_detail::fnvFold(lo_, p[i]);
     }
-}
-
-void
-StableHash::u32(uint32_t value)
-{
-    unsigned char buf[5] = {kTagU32};
-    for (int i = 0; i < 4; ++i)
-        buf[1 + i] = static_cast<unsigned char>(value >> (8 * i));
-    bytes(buf, sizeof buf);
-}
-
-void
-StableHash::u64(uint64_t value)
-{
-    unsigned char buf[9] = {kTagU64};
-    for (int i = 0; i < 8; ++i)
-        buf[1 + i] = static_cast<unsigned char>(value >> (8 * i));
-    bytes(buf, sizeof buf);
-}
-
-void
-StableHash::i64(int64_t value)
-{
-    unsigned char buf[9] = {kTagI64};
-    const auto pattern = static_cast<uint64_t>(value);
-    for (int i = 0; i < 8; ++i)
-        buf[1 + i] = static_cast<unsigned char>(pattern >> (8 * i));
-    bytes(buf, sizeof buf);
-}
-
-void
-StableHash::f64(double value)
-{
-    unsigned char buf[9] = {kTagF64};
-    const auto pattern = std::bit_cast<uint64_t>(value);
-    for (int i = 0; i < 8; ++i)
-        buf[1 + i] = static_cast<unsigned char>(pattern >> (8 * i));
-    bytes(buf, sizeof buf);
 }
 
 void
 StableHash::str(const std::string &value)
 {
-    unsigned char buf[9] = {kTagStr};
+    unsigned char buf[9] = {hash_detail::kTagStr};
     const auto len = static_cast<uint64_t>(value.size());
     for (int i = 0; i < 8; ++i)
         buf[1 + i] = static_cast<unsigned char>(len >> (8 * i));

@@ -12,11 +12,30 @@
  * a 128-bit digest; at the store's scale (~10^6 entries) accidental
  * collision is negligible, and `--cache-verify` exists to audit even
  * that.
+ *
+ * The typed fields fold the same bytes in fewer dependent multiplies,
+ * using two identities of the FNV-1a step s -> (s ^ b) * P:
+ *
+ *  - Zero runs. (s ^ 0) * P = s * P, so k zero bytes fold as one
+ *    multiply by P^k. A field folds its tag, then only the value's
+ *    significant low bytes, then P^k for its k zero high bytes.
+ *  - Fixed strings. s ^ b changes only s's low byte, and the low byte
+ *    of s * P depends only on s's low byte, so folding a fixed n-byte
+ *    string from s gives s * P^n + C[s & 0xFF], with C depending only
+ *    on the string. i64(-1) — kInvalidId, the absent second operand
+ *    of most gates — folds its 9-byte encoding that way; C is
+ *    computed at compile time by folding that encoding byte by byte.
+ *
+ * Both are exact, so the digests equal the byte-serial ones bit for
+ * bit (tests/test_hash.cpp checks them against an independent
+ * reference).
  */
 
 #ifndef QCCD_COMMON_HASH_HPP
 #define QCCD_COMMON_HASH_HPP
 
+#include <array>
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +73,53 @@ struct Digest128
     std::string hex() const;
 };
 
+namespace hash_detail
+{
+
+/** One FNV-1a step: xor @p byte into @p state, multiply by the prime. */
+constexpr uint64_t
+fnvFold(uint64_t state, unsigned char byte)
+{
+    return (state ^ byte) * kFnvPrime;
+}
+
+/** Field tags; see StableHash. Values are part of the on-disk schema
+ *  (they enter every stored key) — never renumber, only append. */
+enum : unsigned char
+{
+    kTagU32 = 1,
+    kTagU64 = 2,
+    kTagI64 = 3,
+    kTagF64 = 4,
+    kTagStr = 5,
+};
+
+/** P^0 .. P^9: the fold of 0..9 zero bytes. */
+inline constexpr std::array<uint64_t, 10> kPrimePowers = [] {
+    std::array<uint64_t, 10> powers{};
+    uint64_t power = 1;
+    for (uint64_t &p : powers) {
+        p = power;
+        power *= kFnvPrime;
+    }
+    return powers;
+}();
+
+/** C[low] for i64(-1)'s encoding (tag, then eight 0xFF bytes): the
+ *  byte-serial fold from state `low`, minus low * P^9. */
+inline constexpr std::array<uint64_t, 256> kAbsentFold = [] {
+    std::array<uint64_t, 256> table{};
+    for (uint64_t low = 0; low < table.size(); ++low) {
+        uint64_t state = fnvFold(low, kTagI64);
+        for (int i = 0; i < 8; ++i)
+            state = fnvFold(state, 0xFF);
+        table[low] = state - low * kPrimePowers[9];
+    }
+    return table;
+}();
+
+} // namespace hash_detail
+
 /**
  * Streaming 128-bit hasher with a pinned serialization, so equal
  * logical inputs produce equal digests on every platform.
@@ -72,13 +138,27 @@ class StableHash
     void bytes(const void *data, size_t len);
 
     /** Typed fields (tag byte + little-endian payload). @{ */
-    void u32(uint32_t value);
-    void u64(uint64_t value);
-    void i64(int64_t value);
+    void u32(uint32_t value) { word(hash_detail::kTagU32, value, 4); }
+    void u64(uint64_t value) { word(hash_detail::kTagU64, value, 8); }
+
+    void
+    i64(int64_t value)
+    {
+        if (value == -1) {
+            absent(hi_);
+            absent(lo_);
+            return;
+        }
+        word(hash_detail::kTagI64, static_cast<uint64_t>(value), 8);
+    }
 
     /** Doubles fold as IEEE-754 bit patterns: bit-equal in, bit-equal
      *  key out, matching the byte-identical goldens contract. */
-    void f64(double value);
+    void
+    f64(double value)
+    {
+        word(hash_detail::kTagF64, std::bit_cast<uint64_t>(value), 8);
+    }
 
     /** Length-prefixed, so field boundaries are unambiguous. */
     void str(const std::string &value);
@@ -87,6 +167,34 @@ class StableHash
     Digest128 digest() const { return {hi_, lo_}; }
 
   private:
+    /** Fold @p tag, then the @p width little-endian bytes of @p value:
+     *  its significant low bytes one by one, its zero high bytes as
+     *  one multiply. */
+    void
+    word(unsigned char tag, uint64_t value, int width)
+    {
+        hi_ = hash_detail::fnvFold(hi_, tag);
+        lo_ = hash_detail::fnvFold(lo_, tag);
+        const int significant = (std::bit_width(value) + 7) / 8;
+        for (int i = 0; i < significant; ++i, value >>= 8) {
+            const auto byte = static_cast<unsigned char>(value);
+            hi_ = hash_detail::fnvFold(hi_, byte);
+            lo_ = hash_detail::fnvFold(lo_, byte);
+        }
+        const uint64_t zeros =
+            hash_detail::kPrimePowers[width - significant];
+        hi_ *= zeros;
+        lo_ *= zeros;
+    }
+
+    /** Fold i64(-1)'s fixed encoding into one lane. */
+    static void
+    absent(uint64_t &lane)
+    {
+        lane = lane * hash_detail::kPrimePowers[9] +
+               hash_detail::kAbsentFold[lane & 0xFF];
+    }
+
     // Distinct seeds decorrelate the lanes: FNV-1a folds the seed
     // non-linearly, so a collision in one lane does not imply one in
     // the other.

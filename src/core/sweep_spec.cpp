@@ -569,13 +569,14 @@ SweepSpecRunner::circuitFor(const PlannedPoint &point)
 }
 
 Digest128
-SweepSpecRunner::circuitDigestFor(const Circuit &native)
+SweepSpecRunner::circuitDigestFor(
+    const std::shared_ptr<const Circuit> &native)
 {
-    const auto it = digestCache_.find(&native);
+    const auto it = digestCache_.find(native);
     if (it != digestCache_.end())
         return it->second;
-    const Digest128 digest = ResultStore::circuitDigest(native);
-    digestCache_.emplace(&native, digest);
+    const Digest128 digest = ResultStore::circuitDigest(*native);
+    digestCache_.emplace(native, digest);
     return digest;
 }
 
@@ -667,7 +668,7 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
                 try {
                     cs.key = ResultStore::keyFor(
                         point.design, point.options,
-                        circuitDigestFor(*job.native));
+                        circuitDigestFor(job.native));
                     cs.haveKey = true;
                 } catch (const QccdError &) {
                     // Unkeyable (e.g. unreadable "topo:" file): run

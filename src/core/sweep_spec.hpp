@@ -349,13 +349,15 @@ class SweepSpecRunner
     std::shared_ptr<const Circuit> circuitFor(const PlannedPoint &point);
 
   private:
-    /** Content digest of @p native, memoized per circuit object (the
-     *  runner's circuits are shared, so identity implies content). */
-    Digest128 circuitDigestFor(const Circuit &native);
+    /** Content digest of @p native, memoized per circuit object. The
+     *  memo holds every circuit it names, so no other circuit can take
+     *  a memoized address while the runner lives. */
+    Digest128
+    circuitDigestFor(const std::shared_ptr<const Circuit> &native);
 
     SweepEngine &engine_;
     std::map<std::string, std::shared_ptr<const Circuit>> qasmCache_;
-    std::map<const Circuit *, Digest128> digestCache_;
+    std::map<std::shared_ptr<const Circuit>, Digest128> digestCache_;
 };
 
 } // namespace qccd

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "benchgen/benchgen.hpp"
 #include "circuit/decompose.hpp"
 #include "circuit/stats.hpp"
 
@@ -119,6 +120,39 @@ TEST(Decompose, QftNativeCountIsNTimesNMinusOne)
     }
     const Circuit native = decomposeToNative(qft);
     EXPECT_EQ(countOp(native, Op::MS), 16 * 15);
+}
+
+// decomposeToNative reserves the sum of nativeCountOf over its input,
+// so a count that disagrees with the emitters shows as spare capacity
+// (too high) or as regrowth past the reservation (too low).
+TEST(Decompose, EveryOpLowersIntoExactlyTheReservedStorage)
+{
+    for (int k = 0; k <= static_cast<int>(Op::Barrier); ++k) {
+        const Op op = static_cast<Op>(k);
+        Circuit c(2);
+        if (op == Op::Barrier)
+            c.add(Gate{});
+        else if (op == Op::Measure)
+            c.measure(0);
+        else if (isTwoQubit(op))
+            c.add(Gate::two(op, 0, 1, 0.5));
+        else
+            c.add(Gate::one(op, 1, 0.5));
+        const Circuit native = decomposeToNative(c);
+        EXPECT_EQ(native.size(),
+                  static_cast<size_t>(nativeCountOf(op)))
+            << opName(op);
+        EXPECT_EQ(native.gates().capacity(), native.size()) << opName(op);
+    }
+}
+
+TEST(Decompose, EveryBuiltinAppLowersIntoExactlyTheReservedStorage)
+{
+    for (const BenchmarkSpec &spec : benchmarkList()) {
+        const Circuit native =
+            decomposeToNative(makeBenchmark(spec.name));
+        EXPECT_EQ(native.gates().capacity(), native.size()) << spec.name;
+    }
 }
 
 } // namespace

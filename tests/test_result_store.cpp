@@ -17,12 +17,16 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <numbers>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "benchgen/benchgen.hpp"
+#include "circuit/decompose.hpp"
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 #include "common/hash.hpp"
@@ -288,6 +292,58 @@ TEST(ResultStore, CircuitDigestIgnoresNameSeesContent)
     c.cx(1, 0); // operand order matters
     EXPECT_NE(ResultStore::circuitDigest(a),
               ResultStore::circuitDigest(c));
+}
+
+// Cache-schema-1 values written by the byte-serial hasher. Every key a
+// user's store holds was built from these folds: if one of these
+// moves, every existing cache silently goes cold.
+TEST(ResultStore, SchemaOneDigestsAndKeysArePinned)
+{
+    StableHash absent;
+    absent.i64(-1);
+    EXPECT_EQ(absent.digest().hex(), "a81a0d3a8cd0ac4a61ef90473d98b541");
+
+    StableHash gates;
+    gates.i64(9);
+    gates.i64(3);
+    gates.i64(-1);
+    gates.f64(std::numbers::pi / 2);
+    gates.i64(14);
+    gates.i64(0);
+    gates.i64(5);
+    gates.f64(0.0);
+    EXPECT_EQ(gates.digest().hex(), "f09111e8dc30e28fade80f24c2e5223e");
+
+    StableHash mixed;
+    mixed.u32(1);
+    mixed.str("linear:6");
+    mixed.i64(-1);
+    mixed.u64(0x0123456789abcdefULL);
+    mixed.f64(-0.0);
+    mixed.i64(std::numeric_limits<int64_t>::min());
+    mixed.u64(std::numeric_limits<uint64_t>::max());
+    mixed.str("");
+    mixed.i64(-1);
+    EXPECT_EQ(mixed.digest().hex(), "4b859db3d8b38711f3fa0ffb9e9ba77a");
+
+    const Digest128 bv =
+        ResultStore::circuitDigest(decomposeToNative(makeBenchmark("bv")));
+    EXPECT_EQ(bv.hex(), "d568d84e7cb0ea398e5c817941f92cd6");
+    const Digest128 qft = ResultStore::circuitDigest(
+        decomposeToNative(makeBenchmark("qft")));
+    EXPECT_EQ(qft.hex(), "281a7e7e11a1c8021e1bc611f746e0a9");
+
+    EXPECT_EQ(ResultStore::keyFor(DesignPoint::linear(6, 22), RunOptions{},
+                                  qft)
+                  .hex(),
+              "207bf56f80eb221a2ef232e8306f8647");
+    RunOptions decomposed;
+    decomposed.decomposeRuntime = true;
+    EXPECT_EQ(ResultStore::keyFor(DesignPoint::grid(2, 3, 14, GateImpl::AM1,
+                                                    ReorderMethod::IS),
+                                  decomposed, qft)
+                  .hex(),
+              "966ffb76b0860f0b49a55f24cfb9a01a");
 }
 
 // ---------------------------------------------------------------------
@@ -681,6 +737,59 @@ TEST_F(CachedRunnerTest, VerifyModeCatchesATamperedRecord)
     EXPECT_EQ(runRows(&store, true, &stats), reference);
     EXPECT_EQ(stats.cacheHits, 3u);
     EXPECT_EQ(stats.cacheDivergent, 1u);
+}
+
+// The runner memoizes circuit digests per circuit object. A caller-owned
+// native circuit freed between run() calls must not let a different
+// circuit, allocated at the same address, inherit its digest and so
+// its cached rows.
+TEST_F(CachedRunnerTest, FreedCallerCircuitCannotLendItsDigest)
+{
+    const std::string path = pathIn("memo.qcache");
+    removeStoreFiles(path);
+    ResultStore store(path);
+    SweepEngine engine(1);
+    SweepSpecRunner runner(engine);
+    SweepRunPolicy policy;
+    policy.cache = &store;
+
+    // Same gate count; only the last gate differs (Z vs. measure).
+    const auto lowered = [](bool measure_last) {
+        Circuit c(4, "memo");
+        c.h(0);
+        c.cx(0, 1);
+        c.cx(1, 2);
+        c.cx(2, 3);
+        if (measure_last)
+            c.measure(3);
+        else
+            c.z(3);
+        return std::make_shared<const Circuit>(decomposeToNative(c));
+    };
+    const auto runOne = [&](std::shared_ptr<const Circuit> native,
+                            RunResult *result) {
+        PlannedPoint point;
+        point.application = "memo";
+        point.native = std::move(native);
+        point.design = DesignPoint::linear(6, 22);
+        return runner.run({point}, 0,
+                          [&](const SweepPoint &p) { *result = p.result; },
+                          policy);
+    };
+
+    std::shared_ptr<const Circuit> a = lowered(false);
+    RunResult a_result;
+    EXPECT_EQ(runOne(a, &a_result).cacheHits, 0u);
+    a.reset();
+
+    // B usually lands at A's freed address; the contract holds either way.
+    std::shared_ptr<const Circuit> b = lowered(true);
+    RunResult b_result;
+    EXPECT_EQ(runOne(b, &b_result).cacheHits, 0u);
+    EXPECT_EQ(store.stats().inserts, 2u);
+    const RunResult cold = runToolflow(*b, DesignPoint::linear(6, 22));
+    EXPECT_TRUE(sameResult(sampleKey(0), b_result, cold));
+    EXPECT_FALSE(sameResult(sampleKey(0), b_result, a_result));
 }
 
 } // namespace
