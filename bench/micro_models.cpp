@@ -214,7 +214,7 @@ BM_StagedMicroarchGrid(benchmark::State &state)
     // point has its own schedule key, so all 48 are full schedules of
     // the same circuit: the shape that shares one schedule plan.
     const Circuit native = decomposeToNative(makeBenchmark("qft"));
-    const std::vector<int> capacities = paperCapacities();
+    const std::vector<int> capacities{14, 18, 22, 26, 30, 34};
     std::vector<ToolflowContext> contexts;
     for (int cap : capacities)
         contexts.emplace_back(DesignPoint::linear(6, cap));
@@ -297,11 +297,14 @@ BM_SweepEngineBatch(benchmark::State &state)
     const int jobs = static_cast<int>(state.range(0));
     for (auto _ : state) {
         SweepEngine engine(jobs);
-        const auto points =
-            sweepCapacity(engine, {"bv", "adder", "supremacy"},
-                          paperCapacities(), [](int cap) {
-                              return DesignPoint::linear(6, cap);
-                          });
+        std::vector<SweepJob> batch;
+        for (const char *app : {"bv", "adder", "supremacy"}) {
+            const auto native = engine.nativeBenchmark(app);
+            for (int cap : {14, 18, 22, 26, 30, 34})
+                batch.push_back(
+                    {app, native, DesignPoint::linear(6, cap), {}});
+        }
+        const auto points = engine.run(batch);
         benchmark::DoNotOptimize(points.size());
     }
 }

@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
 # Verify the figure/ablation pipelines still produce bit-identical
-# metrics to the committed golden CSVs (golden/), through BOTH paths:
-#
-#   1. the compiled benches (bench/<name> writes <name>.csv), and
-#   2. the declarative sweep specs (qccd_explore --sweep
-#      examples/sweeps/<spec>.sweep writes <spec name>.csv),
-#
+# metrics to the committed golden CSVs (golden/): every declarative
+# sweep spec (qccd_explore --sweep examples/sweeps/<spec>.sweep writes
+# <spec name>.csv) must reproduce its golden byte for byte,
 # plus sharded spec runs whose concatenated outputs must reproduce the
 # unsharded files byte-for-byte, a cold+warm result-cache pass over
 # the sensitivity sweep (the staged toolflow's replay-heavy best case),
@@ -16,13 +13,12 @@
 # Any diff means a change altered the
 # simulator's arithmetic or the export format — intended metric changes
 # must regenerate the golden files in the same commit. Every golden CSV
-# must be covered by at least one path; spec-only scenarios (e.g. the
-# gate-fidelity sensitivity sweep) have no bench and are checked via
-# their spec alone.
+# must be produced by some spec, and every spec's CSV must have a
+# golden.
 #
 # Usage: scripts/check_golden.sh [BUILD_DIR]
 #
-#   BUILD_DIR  CMake build tree containing bench/ and src/qccd_explore
+#   BUILD_DIR  CMake build tree containing src/qccd_explore
 #              (default: build)
 #
 # The sweep engine's results are worker-count independent, so this
@@ -34,17 +30,12 @@ REPO_DIR=$(cd "$(dirname "$0")/.." && pwd)
 GOLDEN_DIR="$REPO_DIR/golden"
 SWEEP_DIR="$REPO_DIR/examples/sweeps"
 
-if [[ ! -d "$BUILD_DIR/bench" ]]; then
-    echo "error: $BUILD_DIR/bench not found — build first:" >&2
+if [[ ! -x "$BUILD_DIR/src/qccd_explore" ]]; then
+    echo "error: $BUILD_DIR/src/qccd_explore not found — build first:" >&2
     echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
     exit 1
 fi
-BENCH_DIR=$(cd "$BUILD_DIR/bench" && pwd)
 EXPLORE=$(cd "$BUILD_DIR/src" && pwd)/qccd_explore
-if [[ ! -x "$EXPLORE" ]]; then
-    echo "error: $EXPLORE not found — build first" >&2
-    exit 1
-fi
 
 # Goldens certify RELEASE output. The checked-contract layer must be
 # compiled out of any binary whose bytes we compare — a checked build
@@ -84,29 +75,7 @@ trap 'rm -rf "$scratch"' EXIT
 failures=0
 covered=""
 
-# --- Path 1: compiled benches ---------------------------------------
-mkdir -p "$scratch/bench"
-for golden_csv in "${golden_files[@]}"; do
-    name=$(basename "$golden_csv" .csv)
-    [[ -x "$BENCH_DIR/$name" ]] || continue
-    echo "== bench $name =="
-    if ! (cd "$scratch/bench" && "$BENCH_DIR/$name" > "$name.log" 2>&1); then
-        echo "   FAILED to run (see $scratch/bench/$name.log)" >&2
-        failures=$((failures + 1))
-        continue
-    fi
-    if diff -u "$golden_csv" "$scratch/bench/$name.csv" \
-            > "$scratch/bench/$name.diff"; then
-        echo "   matches golden"
-        covered="$covered $name"
-    else
-        echo "   METRICS DIFFER from golden/$name.csv:" >&2
-        head -20 "$scratch/bench/$name.diff" >&2
-        failures=$((failures + 1))
-    fi
-done
-
-# --- Path 2: declarative sweep specs --------------------------------
+# --- Declarative sweep specs ----------------------------------------
 mkdir -p "$scratch/spec"
 for sweep in "$SWEEP_DIR"/*.sweep; do
     spec=$(basename "$sweep")
@@ -267,16 +236,16 @@ check_stream bv_linear6_c14_fm_is --app bv --topology linear:6 \
 check_stream bv_linear6_c14_fm_gs_b0 --app bv --topology linear:6 \
     --capacity 14 --gate FM --reorder GS --buffer 0
 
-# --- Every golden must have been checked by some path ---------------
+# --- Every golden must have been produced by some spec --------------
 for golden_csv in "${golden_files[@]}"; do
     name=$(basename "$golden_csv" .csv)
     if [[ " $covered " != *" $name "* ]]; then
-        echo "golden/$name.csv was not produced by any bench or sweep" >&2
+        echo "golden/$name.csv was not produced by any sweep spec" >&2
         failures=$((failures + 1))
     fi
 done
 
 if [[ $failures -eq 0 ]]; then
-    echo "all bench and spec-driven outputs match the committed golden metrics"
+    echo "all spec-driven outputs match the committed golden metrics"
 fi
 exit "$failures"

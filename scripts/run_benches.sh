@@ -5,10 +5,10 @@
 # Usage: scripts/run_benches.sh [BUILD_DIR] [OUT_DIR] [BENCH...]
 #
 #   BUILD_DIR  CMake build tree containing bench/ (default: build)
-#   OUT_DIR    where BENCH_*.json and bench CSVs land (default: bench_results)
+#   OUT_DIR    where BENCH_*.json and bench logs land (default: bench_results)
 #   BENCH...   optional bench names to run (default: every executable)
 #
-# Each paper-figure bench gets a wrapper record with its wall time,
+# Each compiled bench gets a wrapper record with its wall time,
 # exit code, and the sweep worker count (QCCD_JOBS or the core count),
 # so the perf trajectory stays comparable across PRs and job settings;
 # micro_models and search_convergence (google-benchmark) emit their
@@ -54,7 +54,7 @@ wanted() {
     return 1
 }
 
-# Benches write scratch CSVs into their cwd; keep that out of the repo.
+# Benches run in a scratch cwd, which keeps stray files out of the repo.
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
@@ -110,8 +110,8 @@ EOF
 done
 
 # A requested bench that matched nothing is an error, not a silently
-# green empty run (a renamed bench must break the CI serial-reference
-# step, not void it).
+# green empty run (a renamed bench must break a caller that names it,
+# not void it).
 for name in "${ONLY[@]+"${ONLY[@]}"}"; do
     found=0
     for ran in "${matched[@]+"${matched[@]}"}"; do
@@ -217,9 +217,6 @@ fi
     echo "  ]"
     echo "}"
 } > "$OUT_DIR/BENCH_SUMMARY.json"
-
-# Keep any figure CSVs the benches produced alongside the JSON records.
-find "$scratch" -maxdepth 1 -name '*.csv' -exec cp {} "$OUT_DIR"/ \;
 
 echo
 echo "results in $OUT_DIR:"

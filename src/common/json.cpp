@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -30,6 +32,25 @@ jsonKindName(JsonValue::Kind kind)
       case JsonValue::Kind::Null: return "null";
     }
     return "value";
+}
+
+std::optional<int>
+exactInt(double number)
+{
+    if (!(number >= std::numeric_limits<int>::min() &&
+          number <= std::numeric_limits<int>::max()) ||
+        std::trunc(number) != number)
+        return std::nullopt;
+    return static_cast<int>(number);
+}
+
+std::optional<uint64_t>
+exactUint64(double number)
+{
+    // 0x1p64 is 2^64, the first double past uint64_t's range.
+    if (!(number >= 0 && number < 0x1p64) || std::trunc(number) != number)
+        return std::nullopt;
+    return static_cast<uint64_t>(number);
 }
 
 JsonParser::JsonParser(const std::string &source,

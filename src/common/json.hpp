@@ -17,6 +17,8 @@
 #ifndef QCCD_COMMON_JSON_HPP
 #define QCCD_COMMON_JSON_HPP
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,8 +41,7 @@ struct JsonValue
 
     Kind kind = Kind::Null;
     // Members keep declaration order: grid axes expand in the order the
-    // file declares them, which is what lets a spec reproduce a
-    // compiled bench's exact row order.
+    // file declares them, which fixes a spec's row order exactly.
     std::vector<std::pair<std::string, JsonValue>> members;
     std::vector<JsonValue> items;
     std::string text;
@@ -57,13 +58,23 @@ struct JsonValue
 std::string jsonKindName(JsonValue::Kind kind);
 
 /**
+ * @p number as an int, or nullopt unless it is an integer within int's
+ * range. The range is checked before narrowing: converting an
+ * out-of-range double to an integer type is undefined behaviour.
+ */
+std::optional<int> exactInt(double number);
+
+/** Likewise for uint64_t: an integer in [0, 2^64). */
+std::optional<uint64_t> exactUint64(double number);
+
+/**
  * Recursive-descent JSON reader with positioned failures.
  *
  * Every error is a ConfigError formatted "origin:line:column: message"
  * — malformed input never crashes. Numbers are parsed with from_chars
  * (locale-independent, correctly rounded), so a spec literal parses to
  * the same double the C++ compiler gives the equivalent source
- * literal; required for bit-identical spec-vs-bench reproductions.
+ * literal; required for spec rows to stay bit-identical to golden/.
  */
 class JsonParser
 {

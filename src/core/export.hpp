@@ -1,8 +1,8 @@
 /**
  * @file
  * Machine-readable export of sweep results: CSV for spreadsheets and
- * plotting scripts, JSON for structured pipelines. Every figure bench
- * can dump its raw series so the paper's plots can be regenerated with
+ * plotting scripts, JSON for structured pipelines. Every figure spec
+ * dumps its raw series so the paper's plots can be regenerated with
  * any plotting tool.
  */
 
@@ -59,10 +59,10 @@ std::string sweepErrorRow(size_t index, const SweepPoint &point);
 
 /**
  * Streaming row writer over an ostream: the single formatting path for
- * sweep exports, shared by the batch helpers below, the figure benches
- * and the declarative sweep runner (qccd_explore --sweep). Rows are
- * written as they arrive, so a partial file of a killed run is valid
- * CSV and can be resumed by counting its rows.
+ * sweep exports, shared by the batch helpers below and the declarative
+ * sweep runner (qccd_explore --sweep). Rows are written as they arrive,
+ * so a partial file of a killed run is valid CSV and can be resumed by
+ * counting its rows.
  *
  * For byte-stable sharded output, the header is optional: shard 0
  * writes it, later shards do not, and concatenating the shard files in

@@ -204,11 +204,10 @@ class SweepLinter
     {
         if (!expectKind(value, JsonValue::Kind::Number, what))
             return std::nullopt;
-        const int integral = static_cast<int>(value.number);
-        if (static_cast<double>(integral) != value.number) {
-            error("bad-kind", value, what + " must be an integer");
-            return std::nullopt;
-        }
+        const std::optional<int> integral = exactInt(value.number);
+        if (!integral)
+            error("bad-kind", value,
+                  what + " must be an integer in int range");
         return integral;
     }
 
@@ -255,14 +254,11 @@ class SweepLinter
                     error("bad-search", v,
                           "\"eta\" must be at least 2");
             } else if (key == "seed") {
-                if (!expectKind(v, JsonValue::Kind::Number,
-                                "\"seed\""))
-                    continue;
-                const auto seed = static_cast<uint64_t>(v.number);
-                if (static_cast<double>(seed) != v.number ||
-                    v.number < 0)
+                if (expectKind(v, JsonValue::Kind::Number, "\"seed\"") &&
+                    !exactUint64(v.number))
                     error("bad-search", v,
-                          "\"seed\" must be a non-negative integer");
+                          "\"seed\" must be a non-negative integer "
+                          "below 2^64");
             } else {
                 error("unknown-key", v,
                       "unknown search key \"" + key +
@@ -531,9 +527,9 @@ class SweepLinter
                 expectKind(v, JsonValue::Kind::Bool,
                            "\"decompose_runtime\"");
             } else if (key == "point_timeout_ms") {
-                if (expectKind(v, JsonValue::Kind::Number,
-                               "\"point_timeout_ms\"") &&
-                    v.number < 1)
+                const std::optional<int> ms =
+                    intOf(v, "\"point_timeout_ms\"");
+                if (ms && *ms < 1)
                     error("bad-option", v,
                           "\"point_timeout_ms\" must be at least 1");
             } else if (key == "cache") {
@@ -742,8 +738,7 @@ lintSweepText(const std::string &text, const std::string &origin,
     // Any residual rejection is itself a finding (the linter's schema
     // walk missed something the parser enforces).
     try {
-        summary->points =
-            parseSweepSpec(text, origin, base_dir).points.size();
+        summary->points = parseSweepPlan(text, origin, base_dir).size();
         summary->expanded = true;
     } catch (const ConfigError &err) {
         addFromConfigError(report, "parse", origin, err.what());
@@ -1105,8 +1100,7 @@ lintArtifacts(const std::vector<std::string> &paths)
             if (producedStems.count(stem) == 0)
                 addDiag(report, LintSeverity::Warning, "golden-orphan",
                         golden.first, 0, 0,
-                        "no linted .sweep spec produces this golden "
-                        "(bench-only goldens are fine)");
+                        "no linted .sweep spec produces this golden");
     }
     return report;
 }

@@ -1,7 +1,6 @@
 #include "core/sweep.hpp"
 
 #include "common/error.hpp"
-#include "core/sweep_engine.hpp"
 
 namespace qccd
 {
@@ -42,44 +41,6 @@ classifyFailure(const std::exception_ptr &error, std::string *message)
         *message = "unknown error";
         return PointOutcome::Error;
     }
-}
-
-std::vector<int>
-paperCapacities()
-{
-    return {14, 18, 22, 26, 30, 34};
-}
-
-std::vector<SweepPoint>
-sweepCapacity(SweepEngine &engine, const std::vector<std::string> &apps,
-              const std::vector<int> &capacities,
-              const std::function<DesignPoint(int)> &make_design,
-              const RunOptions &options)
-{
-    std::vector<SweepJob> jobs;
-    jobs.reserve(apps.size() * capacities.size());
-    for (const std::string &app : apps) {
-        const auto native = engine.nativeBenchmark(app);
-        for (int cap : capacities) {
-            SweepJob job;
-            job.application = app;
-            job.native = native;
-            job.design = make_design(cap);
-            job.options = options;
-            jobs.push_back(std::move(job));
-        }
-    }
-    return engine.run(jobs);
-}
-
-std::vector<SweepPoint>
-sweepCapacity(const std::vector<std::string> &apps,
-              const std::vector<int> &capacities,
-              const std::function<DesignPoint(int)> &make_design,
-              const RunOptions &options)
-{
-    SweepEngine engine;
-    return sweepCapacity(engine, apps, capacities, make_design, options);
 }
 
 } // namespace qccd

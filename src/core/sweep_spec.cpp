@@ -99,10 +99,10 @@ class SpecBuilder
     int intOf(const JsonValue &value, const std::string &what) const
     {
         expect(value, JsonValue::Kind::Number, what);
-        const int integral = static_cast<int>(value.number);
-        if (static_cast<double>(integral) != value.number)
-            parser_.failAt(value, what + " must be an integer");
-        return integral;
+        const std::optional<int> integral = exactInt(value.number);
+        if (!integral)
+            parser_.failAt(value, what + " must be an integer in int range");
+        return *integral;
     }
 
     /**
@@ -323,12 +323,11 @@ class SpecBuilder
                 search.eta = eta;
             } else if (key == "seed") {
                 expect(v, JsonValue::Kind::Number, "\"seed\"");
-                const auto seed = static_cast<uint64_t>(v.number);
-                if (static_cast<double>(seed) != v.number ||
-                    v.number < 0)
+                const std::optional<uint64_t> seed = exactUint64(v.number);
+                if (!seed)
                     parser_.failAt(v, "\"seed\" must be a "
-                                      "non-negative integer");
-                search.seed = seed;
+                                      "non-negative integer below 2^64");
+                search.seed = *seed;
             } else {
                 parser_.failAt(v, "unknown search key \"" + key +
                                       "\" (known: budget, eta, "

@@ -1,7 +1,8 @@
 /**
  * @file
  * Declarative sweep specifications: run any design-space scenario from
- * a file instead of a compiled-in bench.
+ * a file. The committed paper figures and ablations are such files
+ * (examples/sweeps/), checked against golden/.
  *
  * A `.sweep` file is a small JSON document (hand-rolled parser, no
  * dependencies; `#` comments and trailing commas are allowed) that
@@ -25,7 +26,7 @@
  * Every grid key except "options" accepts either a scalar (fixed for
  * the whole grid) or an array (a sweep axis). Axes expand as nested
  * loops in declaration order — the first array declared varies slowest
- * — so a spec can reproduce any compiled bench's row order exactly.
+ * — so a spec fixes its row order exactly.
  * "params" values are objects mapping model-parameter names (the
  * paper's sensitivity axes: gate fidelity constants, heating rates,
  * shuttle timings) to numbers; an array of such objects sweeps
@@ -47,9 +48,8 @@
  * with contiguous sharding (--shard i/n; concatenating shard outputs in
  * index order is byte-identical to the unsharded run) and append/resume
  * (completed rows already in the output CSV are skipped). Rows stream
- * through SweepRowWriter (core/export.hpp), the same formatting path
- * the figure benches use, so a spec-driven reproduction of a bench is
- * bit-identical to the compiled bench.
+ * through SweepRowWriter (core/export.hpp), the one formatting path
+ * every sweep export shares.
  */
 
 #ifndef QCCD_CORE_SWEEP_SPEC_HPP

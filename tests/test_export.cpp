@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/export.hpp"
+#include "core/sweep_engine.hpp"
 
 namespace qccd
 {
@@ -16,9 +17,11 @@ namespace
 std::vector<SweepPoint>
 smallSweep()
 {
-    return sweepCapacity(
-        {"bv"}, {26, 30},
-        [](int cap) { return DesignPoint::linear(3, cap); });
+    // Paper-scale BV has 64 qubits; three traps of 26/30 fit it.
+    SweepEngine engine;
+    const auto native = engine.nativeBenchmark("bv");
+    return engine.run({{"bv", native, DesignPoint::linear(3, 26), {}},
+                       {"bv", native, DesignPoint::linear(3, 30), {}}});
 }
 
 TEST(Export, CsvHasHeaderAndOneRowPerPoint)

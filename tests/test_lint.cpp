@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/export.hpp"
@@ -98,6 +99,27 @@ TEST(LintSweep, BadValueKinds)
         "{\"name\": 7, \"sweeps\": [{\"apps\": [\"qft\"],"
         " \"capacity\": \"big\"}]}");
     EXPECT_TRUE(hasCode(report, "bad-kind"));
+    // Numbers out of the target type's range keep their codes (and are
+    // rejected before any narrowing cast, which would be undefined).
+    const std::pair<const char *, const char *> out_of_range[] = {
+        {"\"sweeps\": [{\"apps\": \"qft\", \"capacity\": [1e10]}]",
+         "bad-kind"},
+        {"\"sweeps\": [{\"apps\": \"qft\","
+         " \"options\": {\"point_timeout_ms\": 1e12}}]",
+         "bad-kind"},
+        {"\"search\": {\"seed\": -1}, \"sweeps\": [{\"apps\": \"qft\"}]",
+         "bad-search"},
+        {"\"search\": {\"seed\": 1e30}, \"sweeps\": [{\"apps\": \"qft\"}]",
+         "bad-search"},
+    };
+    for (const auto &[members, code] : out_of_range) {
+        SweepLintSummary summary;
+        LintReport bad;
+        lintSweepText(std::string("{\"name\": \"x\", ") + members + "}",
+                      "spec", "", bad, &summary);
+        EXPECT_TRUE(hasCode(bad, code)) << members;
+        EXPECT_EQ(bad.errorCount(), 1u) << bad.toString();
+    }
 }
 
 TEST(LintSweep, EmptyAxisIsUnreachable)

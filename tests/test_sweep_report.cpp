@@ -1,42 +1,13 @@
-/** @file Tests for sweep helpers and report formatting. */
+/** @file Tests for report formatting. */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/report.hpp"
-#include "core/sweep.hpp"
 
 namespace qccd
 {
 namespace
 {
-
-TEST(Sweep, PaperCapacitiesMatchFigureAxes)
-{
-    const auto caps = paperCapacities();
-    ASSERT_EQ(caps.size(), 6u);
-    EXPECT_EQ(caps.front(), 14);
-    EXPECT_EQ(caps.back(), 34);
-    for (size_t i = 1; i < caps.size(); ++i)
-        EXPECT_EQ(caps[i] - caps[i - 1], 4);
-}
-
-TEST(Sweep, RunsGridOfPoints)
-{
-    // Paper-scale BV has 64 qubits; three traps of 26/30 fit it.
-    const auto points = sweepCapacity(
-        {"bv"}, {26, 30},
-        [](int cap) { return DesignPoint::linear(3, cap); });
-    ASSERT_EQ(points.size(), 2u);
-    EXPECT_EQ(points[0].application, "bv");
-    EXPECT_EQ(points[0].design.trapCapacity, 26);
-    EXPECT_EQ(points[1].design.trapCapacity, 30);
-    for (const SweepPoint &p : points) {
-        EXPECT_GT(p.result.totalTime(), 0.0);
-        EXPECT_GT(p.result.fidelity(), 0.0);
-    }
-}
 
 TEST(Report, SummaryMentionsKeyNumbers)
 {
@@ -49,34 +20,6 @@ TEST(Report, SummaryMentionsKeyNumbers)
     EXPECT_NE(s.find("tiny"), std::string::npos);
     EXPECT_NE(s.find("linear:3"), std::string::npos);
     EXPECT_NE(s.find("fidelity"), std::string::npos);
-}
-
-TEST(Report, SeriesTableHasAppRowsAndCapacityColumns)
-{
-    const auto points = sweepCapacity(
-        {"bv", "adder"}, {26, 30},
-        [](int cap) { return DesignPoint::linear(3, cap); });
-    const std::string table =
-        seriesTable(points, metricFidelity, "fidelity");
-    EXPECT_NE(table.find("bv"), std::string::npos);
-    EXPECT_NE(table.find("adder"), std::string::npos);
-    EXPECT_NE(table.find("26"), std::string::npos);
-    EXPECT_NE(table.find("30"), std::string::npos);
-}
-
-TEST(Report, MetricExtractors)
-{
-    RunResult r;
-    r.sim.makespan = 2e6; // 2 s
-    r.sim.logFidelity = -1.0;
-    r.sim.maxChainEnergy = 42;
-    r.computeOnlyTime = 0.5e6;
-    EXPECT_DOUBLE_EQ(metricTimeSeconds(r), 2.0);
-    EXPECT_DOUBLE_EQ(metricLogFidelity(r), -1.0);
-    EXPECT_DOUBLE_EQ(metricMaxEnergy(r), 42.0);
-    EXPECT_DOUBLE_EQ(metricComputeTimeSeconds(r), 0.5);
-    EXPECT_DOUBLE_EQ(metricCommTimeSeconds(r), 1.5);
-    EXPECT_NEAR(metricFidelity(r), std::exp(-1.0), 1e-12);
 }
 
 } // namespace

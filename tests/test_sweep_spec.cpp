@@ -214,6 +214,19 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": 1.5}]})",
         "must be an integer");
+    // Out of the target type's range: rejected before any narrowing
+    // cast (converting such a double is undefined behaviour).
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": [1e10]}]})",
+        "must be an integer in int range");
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "options": {"point_timeout_ms": 1e12}}]})",
+        "must be an integer in int range");
+    for (const char *seed : {"-1", "1e30"})
+        expectParseError(std::string(R"({"name": "x", "search": {"seed": )") +
+                             seed + R"(}, "sweeps": [{"apps": "qft"}]})",
+                         "non-negative integer below 2^64");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": []}]})",
         "must not be empty");
