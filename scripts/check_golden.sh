@@ -47,6 +47,16 @@ if "$EXPLORE" --build-info | grep -q 'checked-contracts=on'; then
     exit 1
 fi
 
+# Goldens certify UNFUSED arithmetic: a compiler that contracts a*b+c
+# into an FMA changes the last bits of the fidelity and heating sums.
+# The binary measures this itself, so only an explicit "off" passes.
+if ! "$EXPLORE" --build-info | grep -qx 'fp-contract=off'; then
+    echo "error: $EXPLORE does not report fp-contract=off;" >&2
+    echo "  goldens certify builds that never fuse a*b+c (see" >&2
+    echo "  -ffp-contract=off in CMakeLists.txt)" >&2
+    exit 1
+fi
+
 # Goldens also certify COLD output: a cache-hit run proves only that
 # the store replays what some earlier build computed, not that this
 # build computes it. The binary must advertise its cache schema (so a

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,6 +35,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/auxv.h>
 
 #include "arch/builders.hpp"
 #include "benchgen/benchgen.hpp"
@@ -85,7 +88,8 @@ printUsage()
         "                    (default: QCCD_JOBS env, then all cores)\n"
         "  --list            list available benchmark applications\n"
         "  --topologies      list registered topology families\n"
-        "  --build-info      print build provenance (checked contracts)\n"
+        "  --build-info      print build provenance: checked contracts,\n"
+        "                    cache schema, FP contraction, link mode\n"
         "\n"
         "Declarative sweeps (see examples/sweeps/ and README):\n"
         "  --sweep FILE      run a .sweep design-space specification\n"
@@ -128,6 +132,22 @@ printUsage()
         "                    audit CSV path (default <name>.search.csv)\n"
         "                    (--jobs, --cache, --cache-verify and\n"
         "                    --point-timeout-ms apply as in --sweep)\n";
+}
+
+/**
+ * Whether this build fuses a*b+c into one rounding (a contracted FMA).
+ * With a = b = 1+2^-30 the exact product is 1+2^-29+2^-60; unfused, it
+ * rounds to 1+2^-29 and the sum with c = -(1+2^-29) is 0, while
+ * std::fma keeps the 2^-60. Every target compiles with the same
+ * -ffp-contract (CMakeLists.txt), so this TU speaks for the library.
+ */
+bool
+fpContractEnabled()
+{
+    volatile double a = 1.0 + 0x1p-30;
+    volatile double b = a;
+    volatile double c = -(1.0 + 0x1p-29);
+    return a * b + c == std::fma(a, b, c);
 }
 
 /** Everything --sweep mode needs beyond the shared engine knobs. */
@@ -562,12 +582,20 @@ main(int argc, char **argv)
                 // binary whose output is compared byte-for-byte.
                 // The cache schema line lets scripts prove which
                 // result-store format a binary speaks before trusting
-                // its warm runs.
+                // its warm runs. fp-contract and link are measured,
+                // not restated from CMake: the kernel passes AT_BASE
+                // = 0 when no program interpreter was loaded.
                 std::cout << "checked-contracts="
                           << (checkedBuildEnabled() ? "on" : "off")
                           << "\n"
                           << "cache-schema="
-                          << ResultStore::kSchemaVersion << "\n";
+                          << ResultStore::kSchemaVersion << "\n"
+                          << "fp-contract="
+                          << (fpContractEnabled() ? "on" : "off") << "\n"
+                          << "link="
+                          << (getauxval(AT_BASE) == 0 ? "static"
+                                                      : "dynamic")
+                          << "\n";
                 return 0;
             } else if (arg == "--list") {
                 for (const BenchmarkSpec &spec : benchmarkList())
