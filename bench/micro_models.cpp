@@ -289,38 +289,14 @@ BM_ParseIsa(benchmark::State &state)
 }
 BENCHMARK(BM_ParseIsa);
 
-void
-BM_SweepEngineBatch(benchmark::State &state)
+/**
+ * The batch of examples/sweeps/sensitivity_fidelity.sweep: 2 apps x 2
+ * gate implementations x 5 co-varied model-knob sets = 20 points but
+ * only 4 distinct schedule keys.
+ */
+std::vector<SweepJob>
+sensitivityJobs(SweepEngine &engine)
 {
-    // An 18-point capacity sweep through the engine; Arg is the worker
-    // count, so Arg(1) vs Arg(4) shows the parallel win on multi-core.
-    const int jobs = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        SweepEngine engine(jobs);
-        std::vector<SweepJob> batch;
-        for (const char *app : {"bv", "adder", "supremacy"}) {
-            const auto native = engine.nativeBenchmark(app);
-            for (int cap : {14, 18, 22, 26, 30, 34})
-                batch.push_back(
-                    {app, native, DesignPoint::linear(6, cap), {}});
-        }
-        const auto points = engine.run(batch);
-        benchmark::DoNotOptimize(points.size());
-    }
-}
-BENCHMARK(BM_SweepEngineBatch)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_SweepDelta(benchmark::State &state)
-{
-    // The staged toolflow's delta-evaluation win, on the shape of
-    // examples/sweeps/sensitivity_fidelity.sweep: 2 apps x 2 gate
-    // implementations x 5 co-varied model-knob sets = 20 points but
-    // only 4 distinct schedule keys. A serial engine must schedule
-    // once per key and replay the rest; the counters (exported to
-    // BENCH_SUMMARY.json by scripts/run_benches.sh) pin the >= 2x
-    // fewer-full-schedules acceptance target.
     struct Knobs
     {
         double gamma;
@@ -332,9 +308,8 @@ BM_SweepDelta(benchmark::State &state)
                            {5.0, 2.5e-5},
                            {10.0, 5e-5}};
     std::vector<SweepJob> jobs;
-    SweepEngine seed(1);
     for (const char *app : {"qft", "supremacy"}) {
-        const auto native = seed.nativeBenchmark(app);
+        const auto native = engine.nativeBenchmark(app);
         for (GateImpl gate : {GateImpl::FM, GateImpl::AM1}) {
             for (const Knobs &k : knobs) {
                 SweepJob job;
@@ -347,6 +322,70 @@ BM_SweepDelta(benchmark::State &state)
             }
         }
     }
+    return jobs;
+}
+
+/** Fig. 8's qft block: 4 gate implementations x 2 reorder methods x
+ *  6 capacities of linear:6, 48 points with 48 schedule keys. */
+std::vector<SweepJob>
+fig8QftJobs(SweepEngine &engine)
+{
+    const auto native = engine.nativeBenchmark("qft");
+    std::vector<SweepJob> jobs;
+    for (GateImpl gate :
+         {GateImpl::AM1, GateImpl::AM2, GateImpl::FM, GateImpl::PM})
+        for (ReorderMethod reorder : {ReorderMethod::GS, ReorderMethod::IS})
+            for (int cap : {14, 18, 22, 26, 30, 34})
+                jobs.push_back({"qft", native,
+                                DesignPoint::linear(6, cap, gate, reorder),
+                                {}});
+    return jobs;
+}
+
+void
+BM_SweepEngineBatch(benchmark::State &state,
+                    std::vector<SweepJob> (*make)(SweepEngine &))
+{
+    // SweepEngine::run on one batch as a --sweep invocation runs it;
+    // Arg is the worker count. The engine keeps its lowered circuits
+    // and contexts across iterations (a warm-up run builds them), so
+    // an iteration times grouping, the worker pool and evaluation.
+    // Counters are per batch: model logs recorded, full schedules and
+    // replays.
+    SweepEngine engine(static_cast<int>(state.range(0)));
+    const std::vector<SweepJob> batch = make(engine);
+    engine.run(batch);
+    const StagedToolflow::Stats before = engine.deltaStats();
+    for (auto _ : state) {
+        const auto points = engine.run(batch);
+        benchmark::DoNotOptimize(points.data());
+    }
+    const StagedToolflow::Stats &after = engine.deltaStats();
+    const auto perBatch = [](size_t total) {
+        return benchmark::Counter(static_cast<double>(total),
+                                  benchmark::Counter::kAvgIterations);
+    };
+    state.counters["logs"] =
+        perBatch(after.logsRecorded - before.logsRecorded);
+    state.counters["full"] =
+        perBatch(after.fullSchedules - before.fullSchedules);
+    state.counters["replays"] = perBatch(after.replays - before.replays);
+}
+BENCHMARK_CAPTURE(BM_SweepEngineBatch, fig8_qft, fig8QftJobs)
+    ->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SweepEngineBatch, sensitivity, sensitivityJobs)
+    ->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void
+BM_SweepDelta(benchmark::State &state)
+{
+    // The staged toolflow's delta-evaluation win on the sensitivity
+    // batch: a serial engine must schedule once per key and replay the
+    // rest; the counters (exported to BENCH_SUMMARY.json by
+    // scripts/run_benches.sh) pin the >= 2x fewer-full-schedules
+    // acceptance target.
+    SweepEngine seed(1);
+    const std::vector<SweepJob> jobs = sensitivityJobs(seed);
 
     size_t points = 0;
     size_t full = 0;

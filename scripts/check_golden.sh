@@ -7,7 +7,8 @@
 # unsharded files byte-for-byte, a cold+warm result-cache pass over
 # the sensitivity sweep (the staged toolflow's replay-heavy best case),
 # a warm pass over the committed cache-schema-1 store
-# (golden/schema1.qcache, written by an earlier build),
+# (golden/schema1.qcache, written by an earlier build), the exact
+# staged: counts of two model-knob specs at one and four workers,
 # and the full primitive stream (--trace dump and .isa file) of two
 # single-point runs against golden/*.trace and golden/*.isa.
 # Any diff means a change altered the
@@ -178,6 +179,38 @@ else
     echo "   WARM-CACHE RUN DIFFERS from golden/sensitivity_fidelity.csv" >&2
     failures=$((failures + 1))
 fi
+
+# --- Staged counts at one and four workers --------------------------
+# A schedule-key group is cut into at most max(1, workers / groups)
+# spans and no model replay crosses a span boundary, so the staged:
+# line is a function of the spec and --jobs alone: every one of five
+# four-worker runs must print the same counts, and one worker the
+# same counts as ever. Each run's CSV must still match its golden.
+echo "== staged counts, --jobs 1 once and --jobs 4 five times =="
+mkdir -p "$scratch/staged"
+check_staged() {
+    local spec=$1 jobs=$2 runs=$3 want=$4
+    local r
+    for ((r = 1; r <= runs; r++)); do
+        if ! (cd "$scratch/staged" &&
+                "$EXPLORE" --sweep "$SWEEP_DIR/$spec.sweep" \
+                    --jobs "$jobs" --out "$spec.$jobs.$r.csv" \
+                    > "$spec.$jobs.$r.log" 2>&1 &&
+                grep -qx "staged: $want" "$spec.$jobs.$r.log" &&
+                cmp -s "$spec.$jobs.$r.csv" "$GOLDEN_DIR/$spec.csv"); then
+            echo "   $spec.sweep --jobs $jobs run $r did NOT print" \
+                "'staged: $want' or DIFFERS from golden" \
+                "(see $scratch/staged/$spec.$jobs.$r.log)" >&2
+            failures=$((failures + 1))
+            return
+        fi
+    done
+    echo "   $spec.sweep --jobs $jobs: $runs run(s) print 'staged: $want'"
+}
+check_staged sensitivity_fidelity 1 1 "4 full, 16 replayed"
+check_staged ablation_heating 1 1 "2 full, 8 replayed"
+check_staged sensitivity_fidelity 4 5 "4 full, 16 replayed"
+check_staged ablation_heating 4 5 "4 full, 6 replayed"
 
 # --- Cache-schema-1 keys across builds ------------------------------
 # golden/schema1.qcache was filled cold by an earlier build over three

@@ -206,8 +206,11 @@ faultSiteNames()
     // The "cache." sites fire only in cache-enabled runs, so the
     // campaign in test_faults skips them (like "export.row") and
     // test_result_store arms them against a cached sweep instead.
+    // "engine.spawn" fires only when the engine starts threads, so
+    // the one-worker campaign skips it too; test_faults arms it
+    // against a multi-worker batch.
     static const std::vector<std::string> names = {
-        "engine.lower",   "engine.context", "toolflow.run",
+        "engine.lower",   "engine.context", "engine.spawn", "toolflow.run",
         "scheduler.build_queues", "scheduler.pop", "scheduler.execute",
         "router.evict",   "shuttle.emit",   "export.row",
         "cache.open",     "cache.lookup",   "cache.append",

@@ -83,6 +83,11 @@ std::vector<SweepPoint>
 SweepEngine::run(const std::vector<SweepJob> &batch,
                  FailurePolicy policy)
 {
+    // A batch the result store answered in full is empty: no workers,
+    // no evaluator, no span arithmetic.
+    if (batch.empty())
+        return {};
+
     // Populate the context cache serially so the workers only ever read
     // shared state; each job's context is pinned by index. A failing
     // context build is itself a per-point failure: the job is marked
@@ -105,17 +110,21 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
         }
     }
 
-    const size_t workers = std::max<size_t>(
-        std::min(static_cast<size_t>(jobs_), batch.size()), 1);
+    size_t workers = std::min(static_cast<size_t>(jobs_), batch.size());
 
     // Evaluation order: group jobs by schedule stage key so each
     // worker's StagedToolflow sees same-key points back to back and
-    // serves every point after a group's first by model replay. Groups
-    // keep first-appearance order and are split into contiguous spans
-    // so a large group still spreads across the pool (each span pays
-    // one full schedule). Results land in input-order slots and every
-    // point is bit-identical to a scalar runToolflow call, so grouping
-    // never changes the rows — only how much work computes them.
+    // serves every point after a span's first by model replay. Groups
+    // keep first-appearance order. Each group is split into at most
+    // max(1, workers / groups) contiguous spans, so model-knob groups
+    // stay whole unless there are idle workers to spread them over
+    // (each span pays one full schedule). No replay crosses a span
+    // boundary (see nextSharesKey below), so the staged counts are a
+    // function of the batch and the worker count alone, never of which
+    // worker claims which span. Results land in input-order slots and
+    // every point is bit-identical to a scalar runToolflow call, so
+    // grouping never changes the rows, only how much work computes
+    // them.
     std::vector<size_t> order;
     order.reserve(batch.size());
     std::vector<std::pair<size_t, size_t>> spans; // [begin,end) in order
@@ -131,9 +140,10 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
                 groups.emplace_back();
             groups[it->second].push_back(i);
         }
+        const size_t perGroup =
+            std::max<size_t>(1, workers / groups.size());
         for (const std::vector<size_t> &g : groups) {
-            const size_t chunk =
-                std::max<size_t>(1, (g.size() + workers - 1) / workers);
+            const size_t chunk = (g.size() + perGroup - 1) / perGroup;
             for (size_t off = 0; off < g.size(); off += chunk) {
                 const size_t len = std::min(chunk, g.size() - off);
                 spans.emplace_back(order.size(), order.size() + len);
@@ -142,15 +152,17 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
             }
         }
     }
+    workers = std::min(workers, spans.size());
 
     std::atomic<size_t> nextSpan{0};
     std::vector<StagedToolflow::Stats> workerStats(workers);
 
     auto worker = [&](size_t w) {
         // One staged evaluator per worker: it carries the scratch
-        // buffer pool plus the placement/schedule stage caches across
-        // this worker's spans (fully keyed, so results don't depend on
-        // job order).
+        // buffer pool plus the plan and placement caches across this
+        // worker's spans (fully keyed, so results don't depend on job
+        // order). Only a point with a successor in its span records a
+        // model log and keeps its schedule.
         StagedToolflow staged;
         for (size_t s = nextSpan.fetch_add(1); s < spans.size();
              s = nextSpan.fetch_add(1)) {
@@ -160,9 +172,9 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
                 if (errors[i])
                     continue; // context build already failed
                 try {
-                    points[i].result =
-                        staged.run(*job.native, job.design,
-                                   *jobContexts[i], job.options);
+                    points[i].result = staged.run(
+                        *job.native, job.design, *jobContexts[i],
+                        job.options, k + 1 < spans[s].second);
                 } catch (...) {
                     errors[i] = std::current_exception();
                 }
@@ -174,12 +186,16 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
     if (workers <= 1) {
         worker(0);
     } else {
-        std::vector<std::thread> pool;
+        // jthreads join on destruction, so a failed spawn (EAGAIN at
+        // RLIMIT_NPROC, or the injected fault) waits for the workers
+        // already writing into this batch's locals before the error
+        // leaves run().
+        std::vector<std::jthread> pool;
         pool.reserve(workers);
-        for (size_t w = 0; w < workers; ++w)
+        for (size_t w = 0; w < workers; ++w) {
+            QCCD_FAULT_POINT("engine.spawn");
             pool.emplace_back(worker, w);
-        for (std::thread &t : pool)
-            t.join();
+        }
     }
 
     for (const StagedToolflow::Stats &s : workerStats) {
@@ -187,6 +203,7 @@ SweepEngine::run(const std::vector<SweepJob> &batch,
         deltaStats_.replays += s.replays;
         deltaStats_.placementsReused += s.placementsReused;
         deltaStats_.plansBuilt += s.plansBuilt;
+        deltaStats_.logsRecorded += s.logsRecorded;
     }
 
     for (size_t i = 0; i < batch.size(); ++i) {

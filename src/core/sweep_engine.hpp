@@ -14,15 +14,19 @@
  *    is identical to a per-point lowering);
  *  - a ToolflowContext cache builds one Topology + PathFinder per
  *    distinct architecture (keyed by ToolflowContext::cacheKey);
- *  - a fixed-size std::thread worker pool pulls work off a shared
- *    atomic counter and writes results into preallocated slots, so the
- *    result vector is in input order and bit-identical for any worker
- *    count (jobs=1 included);
- *  - jobs are grouped by schedule stage key (see ScheduleKey) and each
- *    worker evaluates through a StagedToolflow, so a point differing
- *    from its predecessor only in model knobs replays the cached
- *    schedule's model log instead of re-scheduling. Every point's row
- *    is still bit-identical to a scalar runToolflow call.
+ *  - a fixed-size std::jthread worker pool pulls spans of work off a
+ *    shared atomic counter and writes results into preallocated
+ *    slots, so the result vector is in input order and bit-identical
+ *    for any worker count (jobs=1 included);
+ *  - jobs are grouped by schedule stage key (see ScheduleKey), each
+ *    group split into at most max(1, workers / groups) contiguous
+ *    spans, and each worker evaluates through a StagedToolflow, so a
+ *    point differing from its span predecessor only in model knobs
+ *    replays the cached schedule's model log instead of
+ *    re-scheduling. Only a point with a successor in its span records
+ *    that log, and no replay crosses a span boundary, so the staged
+ *    counts depend on the batch and worker count alone. Every point's
+ *    row is still bit-identical to a scalar runToolflow call.
  *
  * Both caches hold state that is immutable after construction, and the
  * caches themselves are populated before any worker starts, so workers
@@ -130,7 +134,9 @@ class SweepEngine
      * Cumulative stage-reuse counters summed over every run() batch:
      * how many points ran the scheduler vs. were served by model
      * replay (the sweep's delta-evaluation win, surfaced as the
-     * "staged:" line and BM_SweepDelta's metric).
+     * "staged:" line and BM_SweepDelta's metric). A pure function of
+     * the batches and the worker count; a batch whose thread spawn
+     * fails adds nothing.
      */
     const StagedToolflow::Stats &deltaStats() const
     {

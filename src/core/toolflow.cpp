@@ -195,6 +195,14 @@ StagedToolflow::run(const Circuit &native, const DesignPoint &design,
                     const ToolflowContext &context,
                     const RunOptions &options)
 {
+    return run(native, design, context, options, true);
+}
+
+RunResult
+StagedToolflow::run(const Circuit &native, const DesignPoint &design,
+                    const ToolflowContext &context,
+                    const RunOptions &options, bool nextSharesKey)
+{
     const ScheduleKey key = scheduleKeyFor(native, design, options);
     if (haveSchedule_ && key == scheduleKey_) {
         // Model-knobs-only delta: the cached schedule is bit-identical
@@ -202,7 +210,10 @@ StagedToolflow::run(const Circuit &native, const DesignPoint &design,
         // under the new knobs. The fault point and parameter
         // validation keep failure semantics aligned with the full
         // path (an infeasible model knob must classify as infeasible
-        // here too, not silently evaluate).
+        // here too, not silently evaluate). The cache is dropped
+        // first when no later point reads it, so a throw cannot leave
+        // it behind either.
+        haveSchedule_ = nextSharesKey;
         QCCD_FAULT_POINT("toolflow.run");
         design.hw.validate();
         RunResult result = scheduleBase_;
@@ -237,14 +248,17 @@ StagedToolflow::run(const Circuit &native, const DesignPoint &design,
     }
 
     InitialMapping mapped;
-    RunResult result = runToolflowImpl(native, design, context, options,
-                                       &scratch_, &plan_, placement,
-                                       &log_, &mapped);
+    RunResult result = runToolflowImpl(
+        native, design, context, options, &scratch_, &plan_, placement,
+        nextSharesKey ? &log_ : nullptr, &mapped);
     ++stats_.fullSchedules;
 
-    scheduleKey_ = key;
-    scheduleBase_ = result;
-    haveSchedule_ = true;
+    if (nextSharesKey) {
+        scheduleKey_ = key;
+        scheduleBase_ = result;
+        haveSchedule_ = true;
+        ++stats_.logsRecorded;
+    }
     if (placement == nullptr) {
         // Adopt the mapping this run computed for future placement
         // reuse (mapQubits is deterministic, so it is exactly what a

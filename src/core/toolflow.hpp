@@ -236,7 +236,9 @@ ScheduleKey scheduleKeyFor(const Circuit &native,
  * metrics (a large multiple cheaper than scheduling). Results are
  * bit-identical to scalar runToolflow calls in any order; SweepEngine
  * orders each batch by schedule key so model-knob axes collapse onto
- * one full schedule per key.
+ * one full schedule per span of equal keys. Recording the log costs a
+ * 24-byte event per model-relevant primitive, so the engine tells each
+ * run whether the next point will read it (see the five-argument run).
  *
  * Holds a SchedulerScratch and the stage caches; not thread-safe (one
  * instance per worker). The plan cache and the cached keys name their
@@ -253,6 +255,7 @@ class StagedToolflow
         size_t replays = 0;          ///< points served by model replay
         size_t placementsReused = 0; ///< full runs that skipped mapQubits
         size_t plansBuilt = 0;       ///< schedule plans built (per new circuit)
+        size_t logsRecorded = 0;     ///< full runs that kept a model log
     };
 
     /**
@@ -262,10 +265,22 @@ class StagedToolflow
      * (a throw invalidates the schedule cache, so the next point runs
      * full); infeasible model parameters are rejected on the replay
      * path by the same HardwareParams::validate the scheduler runs.
+     * Every full schedule records its model log and stays cached.
      */
     RunResult run(const Circuit &native, const DesignPoint &design,
                   const ToolflowContext &context,
                   const RunOptions &options);
+
+    /**
+     * As above, told whether the next point shares this point's
+     * schedule key. Only then does a full schedule record its model
+     * log and stay cached; otherwise the cached schedule is dropped
+     * after this point (even if it throws), so the next point
+     * schedules in full. Results are bit-identical either way.
+     */
+    RunResult run(const Circuit &native, const DesignPoint &design,
+                  const ToolflowContext &context,
+                  const RunOptions &options, bool nextSharesKey);
 
     const Stats &stats() const { return stats_; }
 
@@ -285,7 +300,9 @@ class StagedToolflow
     InitialMapping placement_;
     /** @} */
 
-    /** Schedule stage cache (last full schedule + its model log). @{ */
+    /** Schedule stage cache (last full schedule + its model log). Set
+     *  only by a run that recorded the log, so a replay never reads an
+     *  unrecorded one. @{ */
     bool haveSchedule_ = false;
     ScheduleKey scheduleKey_;
     RunResult scheduleBase_;

@@ -79,9 +79,10 @@ TEST_F(FaultsTest, EveryRegisteredSiteIsIsolatedUnderKeepGoing)
     size_t covered = 0;
     size_t skipped = 0;
     for (const std::string &site : faultSiteNames()) {
-        if (site == "export.row" ||
+        if (site == "export.row" || site == "engine.spawn" ||
             site.rfind("cache.", 0) == 0) {
-            // export.row lives in the writer (covered below); the
+            // export.row lives in the writer and engine.spawn fires
+            // only with several workers (both covered below); the
             // cache sites never fire in a cacheless sweep and are
             // armed against a cached one in test_result_store.
             ++skipped;
@@ -106,7 +107,34 @@ TEST_F(FaultsTest, EveryRegisteredSiteIsIsolatedUnderKeepGoing)
         ++covered;
     }
     EXPECT_EQ(covered, faultSiteNames().size() - skipped);
-    EXPECT_EQ(skipped, 5u); // export.row + the four cache.* sites
+    // export.row, engine.spawn and the four cache.* sites
+    EXPECT_EQ(skipped, 6u);
+}
+
+TEST_F(FaultsTest, FailedThreadSpawnJoinsTheStartedWorkers)
+{
+    // A spawn that throws (EAGAIN at RLIMIT_NPROC, here injected before
+    // the second thread) must not terminate the process: the worker
+    // already started finishes and joins before the error leaves
+    // run(), and the engine's next batch runs cleanly. Four schedule
+    // keys make four spans, so four workers start four threads.
+    const auto native = SweepEngine::lower(makeQft(16));
+    std::vector<SweepJob> jobs;
+    for (int cap : {8, 10, 12, 14})
+        jobs.push_back({"qft", native, DesignPoint::linear(3, cap), {}});
+    SweepEngine engine(4);
+    setFaultInjectSpec("engine.spawn=2");
+    EXPECT_THROW(engine.run(jobs), InternalError);
+    clearFaultInject();
+    EXPECT_EQ(engine.deltaStats().fullSchedules, 0u);
+
+    const std::vector<SweepPoint> got = engine.run(jobs);
+    SweepEngine serial(1);
+    const std::vector<SweepPoint> want = serial.run(jobs);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(sweepCsvRow(got[i]), sweepCsvRow(want[i])) << i;
+    EXPECT_EQ(engine.deltaStats().fullSchedules, jobs.size());
 }
 
 TEST_F(FaultsTest, ExportRowSiteFaultsTheWriter)
@@ -250,6 +278,39 @@ TEST_F(FaultsTest, QueueFaultLeavesTheStagedPlanCacheSound)
     EXPECT_GT(got.sim.counts.shuttles, 0);
     EXPECT_EQ(staged.stats().plansBuilt, 1u);
     EXPECT_EQ(staged.stats().fullSchedules, 1u);
+}
+
+TEST_F(FaultsTest, FullScheduleThrowingMidSpanLeavesTheNextPointFull)
+{
+    // One span of five points that differ only in gamma. The first
+    // point's full schedule throws part-way through, after recording
+    // some of its model log. The next point must schedule in full,
+    // not replay that partial log; the rest replay the new one.
+    const auto native = SweepEngine::lower(makeQft(16));
+    std::vector<SweepJob> jobs;
+    for (int v = 0; v < 5; ++v) {
+        SweepJob job{"qft", native, DesignPoint::linear(3, 8), {}};
+        job.design.hw.gammaPerS = 1.0 + 0.5 * v;
+        jobs.push_back(std::move(job));
+    }
+    SweepEngine engine(1);
+    setFaultInjectSpec("scheduler.pop=40");
+    const std::vector<SweepPoint> got =
+        engine.run(jobs, FailurePolicy::Isolate);
+    clearFaultInject();
+
+    ASSERT_EQ(got.size(), jobs.size());
+    EXPECT_FALSE(got[0].ok());
+    for (size_t i = 1; i < jobs.size(); ++i) {
+        ASSERT_TRUE(got[i].ok()) << i;
+        SweepPoint want = got[i];
+        want.result = runToolflow(*native, jobs[i].design,
+                                  ToolflowContext(jobs[i].design), {});
+        EXPECT_EQ(sweepCsvRow(got[i]), sweepCsvRow(want)) << i;
+    }
+    EXPECT_EQ(engine.deltaStats().fullSchedules, 1u);
+    EXPECT_EQ(engine.deltaStats().replays, 3u);
+    EXPECT_EQ(engine.deltaStats().logsRecorded, 1u);
 }
 
 TEST(DeadlineTest, DefaultIsUnarmedAndNeverThrows)

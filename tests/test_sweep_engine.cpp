@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 
@@ -376,6 +377,139 @@ TEST(SweepEngine, ModelKnobOnlyAxesCollapseToOneScheduleKeyGroup)
     engine.run(jobs);
     EXPECT_EQ(engine.deltaStats().fullSchedules, 2u);
     EXPECT_EQ(engine.deltaStats().replays, 8u);
+}
+
+/**
+ * qft on linear:4 at capacity 8: sizes[g] points in schedule-key
+ * group g (gate implementation and reorder method tell the groups
+ * apart; inside a group only gamma differs). Groups interleave point
+ * by point, so the engine has to regroup them.
+ */
+std::vector<SweepJob>
+keyGroupBatch(const std::vector<int> &sizes)
+{
+    const auto native = SweepEngine::lower(makeBenchmarkSized("qft", 12));
+    const GateImpl gates[] = {GateImpl::FM, GateImpl::AM1, GateImpl::AM2,
+                              GateImpl::PM};
+    std::vector<SweepJob> jobs;
+    for (int v = 0; v < *std::max_element(sizes.begin(), sizes.end());
+         ++v) {
+        for (size_t g = 0; g < sizes.size(); ++g) {
+            if (v >= sizes[g])
+                continue;
+            SweepJob job;
+            job.application = "qft";
+            job.native = native;
+            job.design = DesignPoint::linear(
+                4, 8, gates[g % 4],
+                g < 4 ? ReorderMethod::GS : ReorderMethod::IS);
+            job.design.hw.gammaPerS = 1.0 + 0.25 * v;
+            jobs.push_back(std::move(job));
+        }
+    }
+    return jobs;
+}
+
+TEST(SweepEngine, StagedCountsFollowTheSpanRuleAtEveryWorkerCount)
+{
+    // Each key group of n points is cut into at most
+    // max(1, workers / groups) contiguous spans of ceil(n / that)
+    // points. A span of L points costs one full schedule and L - 1
+    // replays, and records one model log when L > 1. No replay crosses
+    // a span boundary, so the counts repeat exactly however the
+    // workers race for spans.
+    struct Counts
+    {
+        size_t full, replays, logs;
+    };
+    const struct
+    {
+        std::vector<int> sizes;
+        Counts at[4]; // jobs = 1, 2, 3, 4
+    } cases[] = {
+        // Two singletons and groups of 3, 7 and 5: five groups, so one
+        // span each at any worker count up to 4.
+        {{1, 3, 1, 7, 5},
+         {{5, 12, 3}, {5, 12, 3}, {5, 12, 3}, {5, 12, 3}}},
+        // A singleton and a group of 6: four workers cut the group
+        // into two spans of 3.
+        {{1, 6}, {{2, 5, 1}, {2, 5, 1}, {2, 5, 1}, {3, 4, 2}}},
+        // One group of 5: spans 3+2 at two workers, 2+2+1 at three or
+        // four (the last span of one point records no log).
+        {{5}, {{1, 4, 1}, {2, 3, 2}, {3, 2, 2}, {3, 2, 2}}},
+    };
+    for (const auto &c : cases) {
+        const std::vector<SweepJob> jobs = keyGroupBatch(c.sizes);
+        std::vector<RunResult> scalar;
+        for (const SweepJob &job : jobs) {
+            const ToolflowContext context(job.design);
+            scalar.push_back(
+                runToolflow(*job.native, job.design, context, job.options));
+        }
+        for (int workers = 1; workers <= 4; ++workers) {
+            const Counts &want = c.at[workers - 1];
+            for (int rep = 0; rep < (workers == 4 ? 20 : 1); ++rep) {
+                const std::string what =
+                    std::to_string(jobs.size()) + " points, jobs " +
+                    std::to_string(workers) + ", rep " +
+                    std::to_string(rep);
+                SweepEngine engine(workers);
+                const std::vector<SweepPoint> got = engine.run(jobs);
+                const StagedToolflow::Stats &stats = engine.deltaStats();
+                EXPECT_EQ(stats.fullSchedules, want.full) << what;
+                EXPECT_EQ(stats.replays, want.replays) << what;
+                EXPECT_EQ(stats.logsRecorded, want.logs) << what;
+                ASSERT_EQ(got.size(), jobs.size()) << what;
+                for (size_t i = 0; i < jobs.size(); ++i)
+                    expectIdenticalResults(got[i].result, scalar[i],
+                                           what + " point " +
+                                               std::to_string(i));
+            }
+        }
+    }
+}
+
+TEST(StagedToolflow, LastPointOfASpanKeepsNoScheduleToReplay)
+{
+    // Told that no same-key point follows, a full schedule records no
+    // model log and keeps nothing, so a same-key point after it
+    // schedules in full instead of replaying an empty log. The
+    // four-argument run always records and keeps.
+    const auto native = SweepEngine::lower(makeBenchmarkSized("qft", 12));
+    const DesignPoint base = DesignPoint::linear(4, 8);
+    const ToolflowContext context(base);
+    std::vector<DesignPoint> designs;
+    for (int v = 0; v < 4; ++v) {
+        DesignPoint d = base;
+        d.hw.gammaPerS = 1.0 + v;
+        designs.push_back(d);
+    }
+    ASSERT_EQ(scheduleKeyFor(*native, designs[0], {}),
+              scheduleKeyFor(*native, designs[3], {}));
+
+    StagedToolflow staged;
+    const RunResult r0 =
+        staged.run(*native, designs[0], context, {}, false);
+    const RunResult r1 = staged.run(*native, designs[1], context, {});
+    EXPECT_EQ(staged.stats().fullSchedules, 2u);
+    EXPECT_EQ(staged.stats().replays, 0u);
+    EXPECT_EQ(staged.stats().logsRecorded, 1u);
+
+    // r1 kept its log: the next point replays it and, as the last of
+    // its span, drops it, so the point after that runs full again.
+    const RunResult r2 =
+        staged.run(*native, designs[2], context, {}, false);
+    EXPECT_EQ(staged.stats().replays, 1u);
+    const RunResult r3 =
+        staged.run(*native, designs[3], context, {}, true);
+    EXPECT_EQ(staged.stats().fullSchedules, 3u);
+    EXPECT_EQ(staged.stats().logsRecorded, 2u);
+
+    const RunResult *got[] = {&r0, &r1, &r2, &r3};
+    for (size_t i = 0; i < designs.size(); ++i)
+        expectIdenticalResults(
+            *got[i], runToolflow(*native, designs[i], context, {}),
+            "point " + std::to_string(i));
 }
 
 TEST(SweepEngine, PropagatesJobErrorsAfterFinishingTheBatch)
