@@ -8,7 +8,8 @@
 # the sensitivity sweep (the staged toolflow's replay-heavy best case),
 # a warm pass over the committed cache-schema-1 store
 # (golden/schema1.qcache, written by an earlier build), the exact
-# staged: counts of two model-knob specs at one and four workers,
+# staged: counts of every spec at one worker and of two model-knob
+# specs at four,
 # and the full primitive stream (--trace dump and .isa file) of two
 # single-point runs against golden/*.trace and golden/*.isa.
 # Any diff means a change altered the
@@ -186,10 +187,12 @@ fi
 # line is a function of the spec and --jobs alone: every one of five
 # four-worker runs must print the same counts, and one worker the
 # same counts as ever. Each run's CSV must still match its golden.
-echo "== staged counts, --jobs 1 once and --jobs 4 five times =="
+# The one-worker pins cover every spec: a knob wrongly left out of the
+# schedule key shows as a replay, one wrongly put in as a lost one.
+echo "== staged counts, --jobs 1 once per spec and --jobs 4 five times =="
 mkdir -p "$scratch/staged"
 check_staged() {
-    local spec=$1 jobs=$2 runs=$3 want=$4
+    local spec=$1 golden=$2 jobs=$3 runs=$4 want=$5
     local r
     for ((r = 1; r <= runs; r++)); do
         if ! (cd "$scratch/staged" &&
@@ -197,7 +200,7 @@ check_staged() {
                     --jobs "$jobs" --out "$spec.$jobs.$r.csv" \
                     > "$spec.$jobs.$r.log" 2>&1 &&
                 grep -qx "staged: $want" "$spec.$jobs.$r.log" &&
-                cmp -s "$spec.$jobs.$r.csv" "$GOLDEN_DIR/$spec.csv"); then
+                cmp -s "$spec.$jobs.$r.csv" "$GOLDEN_DIR/$golden.csv"); then
             echo "   $spec.sweep --jobs $jobs run $r did NOT print" \
                 "'staged: $want' or DIFFERS from golden" \
                 "(see $scratch/staged/$spec.$jobs.$r.log)" >&2
@@ -207,10 +210,20 @@ check_staged() {
     done
     echo "   $spec.sweep --jobs $jobs: $runs run(s) print 'staged: $want'"
 }
-check_staged sensitivity_fidelity 1 1 "4 full, 16 replayed"
-check_staged ablation_heating 1 1 "2 full, 8 replayed"
-check_staged sensitivity_fidelity 4 5 "4 full, 16 replayed"
-check_staged ablation_heating 4 5 "4 full, 6 replayed"
+check_staged ablation_buffer ablation_buffer 1 1 "15 full, 0 replayed"
+check_staged ablation_cooling ablation_cooling 1 1 "3 full, 12 replayed"
+check_staged ablation_heating ablation_heating 1 1 "2 full, 8 replayed"
+check_staged custom_devices custom_devices 1 1 "8 full, 0 replayed"
+check_staged fig6 fig6_trap_sizing 1 1 "36 full, 0 replayed"
+check_staged fig7 fig7_topology 1 1 "72 full, 0 replayed"
+check_staged fig8 fig8_microarch 1 1 "288 full, 0 replayed"
+check_staged mixed_apps mixed_apps 1 1 "24 full, 0 replayed"
+check_staged sensitivity_fidelity sensitivity_fidelity 1 1 \
+    "4 full, 16 replayed"
+check_staged topology_families topology_families 1 1 "24 full, 0 replayed"
+check_staged sensitivity_fidelity sensitivity_fidelity 4 5 \
+    "4 full, 16 replayed"
+check_staged ablation_heating ablation_heating 4 5 "4 full, 6 replayed"
 
 # --- Cache-schema-1 keys across builds ------------------------------
 # golden/schema1.qcache was filled cold by an earlier build over three

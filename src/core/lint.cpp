@@ -504,17 +504,18 @@ class SweepLinter
                   "objects), got " + jsonKindName(value.kind));
             return;
         }
-        const std::vector<std::string> known = hardwareOverrideKeys();
+        // The parser's own lookup and value check: same rule, same words.
         for (const auto &[param, pv] : value.members) {
-            if (std::find(known.begin(), known.end(), param) ==
-                known.end()) {
-                error("unknown-param", pv,
-                      "unknown model parameter \"" + param +
-                          "\" (see hardwareOverrideKeys)");
-                continue;
+            const char *code = "unknown-param";
+            try {
+                const HardwareKnob &knob = hardwareKnob(param);
+                code = "bad-kind";
+                if (expectKind(pv, JsonValue::Kind::Number,
+                               "parameter \"" + param + "\""))
+                    knob.check(pv.number);
+            } catch (const ConfigError &err) {
+                error(code, pv, err.what());
             }
-            expectKind(pv, JsonValue::Kind::Number,
-                       "parameter \"" + param + "\"");
         }
     }
 

@@ -448,26 +448,13 @@ ResultStore::keyFor(const DesignPoint &design,
     }
     hash.i64(design.trapCapacity);
 
-    const HardwareParams &hw = design.hw;
-    hash.i64(static_cast<int64_t>(hw.gateImpl));
-    hash.i64(static_cast<int64_t>(hw.reorder));
-    hash.f64(hw.oneQubitUs);
-    hash.f64(hw.measureUs);
-    hash.f64(hw.twoQubitFloorUs);
-    hash.f64(hw.shuttle.movePerSegment);
-    hash.f64(hw.shuttle.split);
-    hash.f64(hw.shuttle.merge);
-    hash.f64(hw.shuttle.yJunction);
-    hash.f64(hw.shuttle.xJunction);
-    hash.f64(hw.shuttle.ionSwapRotation);
-    hash.f64(hw.heatingK1);
-    hash.f64(hw.heatingK2);
-    hash.f64(hw.gammaPerS);
-    hash.f64(hw.kappa);
-    hash.f64(hw.oneQubitError);
-    hash.f64(hw.measureError);
-    hash.i64(hw.bufferSlots);
-    hash.f64(hw.recoolFactor);
+    for (const HardwareKnob &knob : kHardwareKnobs) {
+        const double value = knob.get(design.hw);
+        if (knob.type == KnobType::Integer)
+            hash.i64(static_cast<int64_t>(value));
+        else
+            hash.f64(value);
+    }
 
     // Result-affecting options only: timeouts and trace collection
     // cannot change the metrics of a point that completes.

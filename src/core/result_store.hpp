@@ -171,8 +171,8 @@ class ResultStore
     /**
      * The stable cache key of one planned point: schema version, the
      * full architecture (topology spec — with the device file's bytes
-     * for "topo:" specs — capacity, gate/reorder microarchitecture,
-     * all 17 model knobs), the result-affecting run options, and the
+     * for "topo:" specs — capacity, and every row of kHardwareKnobs
+     * in table order), the result-affecting run options, and the
      * lowered circuit's digest. Deliberately excluded: application
      * labels, file paths, timeouts and trace flags — nothing that
      * cannot change the emitted metrics.

@@ -180,20 +180,19 @@ class SpecBuilder
         }
         if (key == "params") {
             expect(value, JsonValue::Kind::Object, "\"params\"");
-            std::vector<std::pair<std::string, double>> overrides;
-            HardwareParams scratch; // name check at parse time
+            std::vector<std::pair<const HardwareKnob *, double>> overrides;
             for (const auto &[param, pv] : value.members) {
                 expect(pv, JsonValue::Kind::Number,
                        "parameter \"" + param + "\"");
-                lookupAt(pv, [&] {
-                    applyHardwareOverride(scratch, param, pv.number);
-                });
-                overrides.emplace_back(param, pv.number);
+                overrides.emplace_back(lookupAt(pv, [&] {
+                    const HardwareKnob &knob = hardwareKnob(param);
+                    knob.check(pv.number);
+                    return &knob;
+                }), pv.number);
             }
             return [overrides](PlannedPoint &point) {
-                for (const auto &[param, number] : overrides)
-                    applyHardwareOverride(point.design.hw, param,
-                                          number);
+                for (const auto &[knob, number] : overrides)
+                    knob->set(point.design.hw, number);
             };
         }
         panicUnless(false, "axis key missing from sweepAxisKeys");

@@ -18,7 +18,7 @@
  *         "reorder": "GS",                 # GS | IS
  *         "buffer": 2,
  *         "policy": "packed",              # packed | balanced
- *         "params": {"heating_k1": 0.1},   # see hardwareOverrideKeys()
+ *         "params": {"heating_k1": 0.1},   # see kHardwareKnobs
  *         "options": {"decompose_runtime": true}
  *       }]
  *     }

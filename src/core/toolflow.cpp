@@ -1,7 +1,6 @@
 #include "core/toolflow.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <utility>
 
 #include "circuit/decompose.hpp"
@@ -10,15 +9,6 @@
 
 namespace qccd
 {
-
-std::ostream &
-operator<<(std::ostream &out, const ContextKey &key)
-{
-    return out << key.topologySpec << '|' << key.trapCapacity << '|'
-               << key.movePerSegment << '|' << key.split << '|'
-               << key.merge << '|' << key.yJunction << '|'
-               << key.xJunction;
-}
 
 TimeUs
 RunResult::communicationTime() const
@@ -40,56 +30,34 @@ ToolflowContext::ToolflowContext(const DesignPoint &design)
 ContextKey
 ToolflowContext::cacheKey(const DesignPoint &design)
 {
-    const ShuttleTimeModel &s = design.hw.shuttle;
     return ContextKey{design.topologySpec, design.trapCapacity,
-                      s.movePerSegment,   s.split,
-                      s.merge,            s.yJunction,
-                      s.xJunction};
-}
-
-PlacementKey
-placementKeyFor(const Circuit &native, const DesignPoint &design,
-                const RunOptions &options)
-{
-    PlacementKey key;
-    key.circuit = reinterpret_cast<std::uintptr_t>(&native);
-    key.topologySpec = design.topologySpec;
-    key.trapCapacity = design.trapCapacity;
-    key.bufferSlots = design.hw.bufferSlots;
-    key.mappingPolicy = options.mappingPolicy;
-    return key;
+                      knobValues(design.hw, kKnobContext)};
 }
 
 ScheduleKey
 scheduleKeyFor(const Circuit &native, const DesignPoint &design,
                const RunOptions &options)
 {
-    const HardwareParams &hw = design.hw;
-    ScheduleKey key;
-    key.circuit = reinterpret_cast<std::uintptr_t>(&native);
-    key.topologySpec = design.topologySpec;
-    key.trapCapacity = design.trapCapacity;
-    key.movePerSegment = hw.shuttle.movePerSegment;
-    key.split = hw.shuttle.split;
-    key.merge = hw.shuttle.merge;
-    key.yJunction = hw.shuttle.yJunction;
-    key.xJunction = hw.shuttle.xJunction;
-    key.ionSwapRotation = hw.shuttle.ionSwapRotation;
-    key.gateImpl = hw.gateImpl;
-    key.oneQubitUs = hw.oneQubitUs;
-    key.measureUs = hw.measureUs;
-    key.twoQubitFloorUs = hw.twoQubitFloorUs;
-    key.reorder = hw.reorder;
-    key.bufferSlots = hw.bufferSlots;
-    key.mappingPolicy = options.mappingPolicy;
-    key.decomposeRuntime = options.decomposeRuntime;
-    key.collectTrace = options.collectTrace;
-    key.pointTimeoutMs = options.pointTimeoutMs;
-    return key;
+    return ScheduleKey{reinterpret_cast<std::uintptr_t>(&native),
+                       design.topologySpec, design.trapCapacity,
+                       knobValues(design.hw, kScheduleKeyKnobs),
+                       options.mappingPolicy, options.decomposeRuntime,
+                       options.collectTrace, options.pointTimeoutMs};
 }
 
 namespace
 {
+
+/** The placement stage key for @p native on @p design. */
+PlacementKey
+placementKeyFor(const Circuit &native, const DesignPoint &design,
+                const RunOptions &options)
+{
+    return PlacementKey{reinterpret_cast<std::uintptr_t>(&native),
+                        design.topologySpec, design.trapCapacity,
+                        knobValues(design.hw, kKnobPlacement),
+                        options.mappingPolicy};
+}
 
 /**
  * The shared body of every full toolflow evaluation. @p plan

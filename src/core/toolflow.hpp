@@ -11,7 +11,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -25,32 +24,23 @@ namespace qccd
 
 /**
  * Value key naming the architecture a ToolflowContext serves: the
- * topology spec, trap capacity, and the shuttle timings that feed the
- * routing cost. Designs with equal keys can share a context. A plain
- * comparable struct (no stream formatting) since sweep setup builds one
- * per job.
+ * topology spec, trap capacity, and the kKnobContext knobs (the
+ * shuttle timings that feed the routing cost). Designs with equal keys
+ * can share a context.
  */
 struct ContextKey
 {
     std::string topologySpec;
     int trapCapacity = 0;
-    TimeUs movePerSegment = 0;
-    TimeUs split = 0;
-    TimeUs merge = 0;
-    TimeUs yJunction = 0;
-    TimeUs xJunction = 0;
+    KnobValues knobs{}; ///< knobValues(hw, kKnobContext)
 
     friend auto operator<=>(const ContextKey &, const ContextKey &) =
         default;
-    friend bool operator==(const ContextKey &, const ContextKey &) =
-        default;
 };
 
-/** Readable rendering for test failures and debugging. */
-std::ostream &operator<<(std::ostream &out, const ContextKey &key);
-
 /**
- * Stage key of the placement stage: exactly the inputs mapQubits reads.
+ * Stage key of the placement stage: exactly the inputs mapQubits reads
+ * (the circuit, the device, the kKnobPlacement knobs and the policy).
  * Two runs with equal placement keys produce identical InitialMappings
  * (mapQubits is deterministic), so the later one can adopt the earlier
  * one's mapping.
@@ -66,12 +56,10 @@ struct PlacementKey
     std::uintptr_t circuit = 0;
     std::string topologySpec;
     int trapCapacity = 0;
-    int bufferSlots = 0;
+    KnobValues knobs{}; ///< knobValues(hw, kKnobPlacement)
     MappingPolicy mappingPolicy = MappingPolicy::Packed;
 
     friend auto operator<=>(const PlacementKey &, const PlacementKey &) =
-        default;
-    friend bool operator==(const PlacementKey &, const PlacementKey &) =
         default;
 };
 
@@ -79,53 +67,29 @@ struct PlacementKey
  * Stage key of the schedule stage: every input that can influence the
  * scheduler's decisions, the emitted primitive sequence, or any
  * primitive's duration — circuit identity (see PlacementKey), the
- * architecture, all gate/shuttle timing knobs, the microarchitecture
- * (gate implementation, reorder method, buffer, placement policy) and
+ * architecture, the kScheduleKeyKnobs knobs, the placement policy and
  * the run options that alter scheduling (the decomposition pass, trace
  * collection, the watchdog budget).
  *
  * Runs with equal schedule keys emit bit-identical schedules; they may
- * differ only in the pure model knobs (heating k1/k2, recool factor,
- * Gamma, kappa, 1q/measurement error rates), whose effects a recorded
+ * differ only in the model-only knobs, whose effects a recorded
  * ModelEvalLog replays without re-scheduling. That is the invariant
  * the staged toolflow's delta evaluation rests on; it is enforced by
- * the staged-vs-scalar differential in tests/test_sweep_engine.cpp.
+ * the staged-vs-scalar differentials in tests/test_sweep_engine.cpp
+ * and tests/test_knobs.cpp.
  */
 struct ScheduleKey
 {
     std::uintptr_t circuit = 0;
     std::string topologySpec;
     int trapCapacity = 0;
-
-    /** Shuttle timings (all six feed durations and routing costs). @{ */
-    TimeUs movePerSegment = 0;
-    TimeUs split = 0;
-    TimeUs merge = 0;
-    TimeUs yJunction = 0;
-    TimeUs xJunction = 0;
-    TimeUs ionSwapRotation = 0;
-    /** @} */
-
-    /** Gate timing knobs (they set ready times and pop order). @{ */
-    GateImpl gateImpl = GateImpl::FM;
-    TimeUs oneQubitUs = 0;
-    TimeUs measureUs = 0;
-    TimeUs twoQubitFloorUs = 0;
-    /** @} */
-
-    ReorderMethod reorder = ReorderMethod::GS;
-    int bufferSlots = 0;
+    KnobValues knobs{}; ///< knobValues(hw, kScheduleKeyKnobs)
     MappingPolicy mappingPolicy = MappingPolicy::Packed;
-
-    /** Schedule-affecting run options. @{ */
     bool decomposeRuntime = false;
     bool collectTrace = false;
     long pointTimeoutMs = 0;
-    /** @} */
 
     friend auto operator<=>(const ScheduleKey &, const ScheduleKey &) =
-        default;
-    friend bool operator==(const ScheduleKey &, const ScheduleKey &) =
         default;
 };
 
@@ -207,12 +171,6 @@ class ToolflowContext
     std::unique_ptr<const Topology> topo_;
     std::unique_ptr<const PathFinder> paths_;
 };
-
-/** The placement stage key for @p native on @p design (see
- *  PlacementKey for the circuit-identity caveat). */
-PlacementKey placementKeyFor(const Circuit &native,
-                             const DesignPoint &design,
-                             const RunOptions &options);
 
 /** The schedule stage key for @p native on @p design under
  *  @p options (see ScheduleKey for the reuse invariant). */

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
-#include <tuple>
+#include <utility>
 
 #include "sim/metrics.hpp"
 
@@ -43,24 +43,23 @@ ModelTables::ModelTables(const HardwareParams &hw, int max_chain)
 std::shared_ptr<const ModelTables>
 ModelTables::shared(const HardwareParams &hw, int max_chain)
 {
-    using Key = std::tuple<int, TimeUs, TimeUs, TimeUs, Quanta, Quanta,
-                           double, double, double, double, int>;
-    const Key key{static_cast<int>(hw.gateImpl), hw.oneQubitUs,
-                  hw.measureUs, hw.twoQubitFloorUs, hw.heatingK1,
-                  hw.heatingK2, hw.gammaPerS, hw.kappa,
-                  hw.oneQubitError, hw.measureError, max_chain};
+    using Key = std::pair<KnobValues, int>;
+    const Key key{knobValues(hw, kKnobTables), max_chain};
 
     static std::mutex mutex;
     static std::map<Key, std::shared_ptr<const ModelTables>> cache;
 
     const std::lock_guard<std::mutex> lock(mutex);
     auto it = cache.find(key);
-    if (it == cache.end())
+    if (it == cache.end()) {
+        if (cache.size() == kSharedCapacity)
+            cache.clear(); // tables already handed out live on
         it = cache
                  .emplace(key,
                           std::make_shared<const ModelTables>(hw,
                                                               max_chain))
                  .first;
+    }
     return it->second;
 }
 

@@ -18,9 +18,9 @@
  * per-op std::log, because nbar is continuous.
  *
  * Tables are immutable after construction; shared() hands out one
- * instance per distinct parameterization from a mutex-guarded
- * process-wide cache, so concurrent SweepEngine workers share tables
- * read-only.
+ * instance per distinct parameterization from a mutex-guarded,
+ * bounded process-wide cache, so concurrent SweepEngine workers share
+ * tables read-only.
  */
 
 #ifndef QCCD_MODELS_MODEL_TABLES_HPP
@@ -91,11 +91,16 @@ class ModelTables
     /**
      * Shared instance for @p hw / @p max_chain from the process-wide
      * cache (mutex-guarded; the returned tables are immutable and safe
-     * to use concurrently). One sweep's workers all receive the same
-     * object for designs that share model parameters.
+     * to use concurrently), keyed on the kKnobTables knobs. One sweep's
+     * workers all receive the same object for designs that share
+     * model parameters.
      */
     static std::shared_ptr<const ModelTables>
     shared(const HardwareParams &hw, int max_chain);
+
+    /** shared() starts over past this many entries (about 10 KB each
+     *  at capacity 34); the most a committed spec reaches is 48. */
+    static constexpr size_t kSharedCapacity = 256;
 
   private:
     GateTimeModel gateTime_;

@@ -45,77 +45,34 @@ HardwareParams::fidelityModel() const
     return FidelityModel(gammaPerS, kappa, oneQubitError, measureError);
 }
 
-namespace
-{
-
-/** One named numeric parameter of HardwareParams. */
-struct OverrideEntry
-{
-    const char *key;
-    double HardwareParams::*doubleField = nullptr;
-    int HardwareParams::*intField = nullptr;
-};
-
-/** TimeUs and Quanta are double typedefs, so one pointer type covers
- *  every non-integer parameter. */
-const OverrideEntry kOverrides[] = {
-    {"one_qubit_us", &HardwareParams::oneQubitUs, nullptr},
-    {"measure_us", &HardwareParams::measureUs, nullptr},
-    {"two_qubit_floor_us", &HardwareParams::twoQubitFloorUs, nullptr},
-    {"heating_k1", &HardwareParams::heatingK1, nullptr},
-    {"heating_k2", &HardwareParams::heatingK2, nullptr},
-    {"gamma_per_s", &HardwareParams::gammaPerS, nullptr},
-    {"kappa", &HardwareParams::kappa, nullptr},
-    {"one_qubit_error", &HardwareParams::oneQubitError, nullptr},
-    {"measure_error", &HardwareParams::measureError, nullptr},
-    {"recool_factor", &HardwareParams::recoolFactor, nullptr},
-    {"buffer_slots", nullptr, &HardwareParams::bufferSlots},
-};
-
-/** Shuttle timings live one struct deeper; map them separately. */
-struct ShuttleEntry
-{
-    const char *key;
-    TimeUs ShuttleTimeModel::*field;
-};
-
-const ShuttleEntry kShuttleOverrides[] = {
-    {"move_per_segment_us", &ShuttleTimeModel::movePerSegment},
-    {"split_us", &ShuttleTimeModel::split},
-    {"merge_us", &ShuttleTimeModel::merge},
-    {"y_junction_us", &ShuttleTimeModel::yJunction},
-    {"x_junction_us", &ShuttleTimeModel::xJunction},
-    {"ion_swap_rotation_us", &ShuttleTimeModel::ionSwapRotation},
-};
-
-} // namespace
-
 void
-applyHardwareOverride(HardwareParams &params, const std::string &key,
-                      double value)
+HardwareKnob::check(double value) const
 {
-    for (const OverrideEntry &entry : kOverrides) {
-        if (key != entry.key)
-            continue;
-        if (entry.doubleField) {
-            params.*entry.doubleField = value;
-        } else {
-            // Range-check before narrowing: converting an out-of-range
-            // or NaN double to int is undefined behaviour.
-            if (!(std::abs(value) <= std::numeric_limits<int>::max()) ||
-                std::trunc(value) != value)
-                throw ConfigError("parameter '" + key +
-                                  "' takes an integer value");
-            params.*entry.intField = static_cast<int>(value);
-        }
-        return;
-    }
-    for (const ShuttleEntry &entry : kShuttleOverrides) {
-        if (key == entry.key) {
-            params.shuttle.*entry.field = value;
-            return;
-        }
-    }
+    // Range-check before narrowing: converting an out-of-range or NaN
+    // double to int is undefined behaviour.
+    if (type == KnobType::Integer &&
+        (!(std::abs(value) <= std::numeric_limits<int>::max()) ||
+         std::trunc(value) != value))
+        throw ConfigError("parameter '" + std::string(name) +
+                          "' takes an integer value");
+}
+
+KnobValues
+knobValues(const HardwareParams &hw, unsigned keys)
+{
+    KnobValues values{};
+    for (size_t i = 0; i < kHardwareKnobs.size(); ++i)
+        if ((kHardwareKnobs[i].keys & keys) != 0)
+            values[i] = kHardwareKnobs[i].get(hw);
+    return values;
+}
+
+const HardwareKnob &
+hardwareKnob(const std::string &key)
+{
+    for (const HardwareKnob &row : kHardwareKnobs)
+        if (row.name != nullptr && key == row.name)
+            return row;
     std::string known;
     for (const std::string &k : hardwareOverrideKeys())
         known += (known.empty() ? "" : ", ") + k;
@@ -123,14 +80,22 @@ applyHardwareOverride(HardwareParams &params, const std::string &key,
                       "' (known: " + known + ")");
 }
 
+void
+applyHardwareOverride(HardwareParams &params, const std::string &key,
+                      double value)
+{
+    const HardwareKnob &row = hardwareKnob(key);
+    row.check(value);
+    row.set(params, value);
+}
+
 std::vector<std::string>
 hardwareOverrideKeys()
 {
     std::vector<std::string> keys;
-    for (const OverrideEntry &entry : kOverrides)
-        keys.push_back(entry.key);
-    for (const ShuttleEntry &entry : kShuttleOverrides)
-        keys.push_back(entry.key);
+    for (const HardwareKnob &row : kHardwareKnobs)
+        if (row.name != nullptr)
+            keys.push_back(row.name);
     return keys;
 }
 

@@ -6,8 +6,8 @@
  * The scheduler's decisions (gate order, routing, evictions, every
  * primitive's duration and timeline placement) depend on the gate/
  * shuttle timing knobs and the microarchitecture — but never on the
- * pure model knobs (heating k1/k2, recool factor, Gamma, kappa, the
- * 1q/measurement error rates). Those knobs only feed the energy
+ * model-only knobs (the rows of kHardwareKnobs in models/params.hpp
+ * outside kScheduleKeyKnobs). Those knobs only feed the energy
  * trajectory and the fidelity accumulators. Two design points that
  * agree on everything the scheduler reads therefore emit the *same*
  * primitive sequence, and the second point's metrics can be produced
@@ -137,8 +137,8 @@ class ModelEvalLog
  * @return @p base with the five model-dependent fields recomputed;
  *         all schedule-determined fields are copied through unchanged
  * @pre @p hw agrees with the recording run's parameters on every knob
- *      the scheduler reads (see ScheduleKey in core/toolflow.hpp) —
- *      only the pure model knobs may differ
+ *      the scheduler reads (kScheduleKeyKnobs in models/params.hpp) —
+ *      only the model-only knobs may differ
  */
 SimResult replayModelEval(const ModelEvalLog &log,
                           const HardwareParams &hw,

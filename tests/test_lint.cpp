@@ -90,7 +90,12 @@ TEST(LintSweep, UnknownOptionAndParam)
         " \"options\": {\"turbo\": true},"
         " \"params\": {\"warp_factor\": 9}}]}");
     EXPECT_TRUE(hasCode(report, "unknown-option"));
-    EXPECT_TRUE(hasCode(report, "unknown-param"));
+    ASSERT_TRUE(hasCode(report, "unknown-param"));
+    // The parser's message, listing the known keys.
+    EXPECT_NE(diag(report, "unknown-param")
+                  ->message.find("(known: one_qubit_us, measure_us,"),
+              std::string::npos)
+        << diag(report, "unknown-param")->message;
 }
 
 TEST(LintSweep, BadValueKinds)
@@ -106,6 +111,13 @@ TEST(LintSweep, BadValueKinds)
          "bad-kind"},
         {"\"sweeps\": [{\"apps\": \"qft\","
          " \"options\": {\"point_timeout_ms\": 1e12}}]",
+         "bad-kind"},
+        // Integer knobs, typed by the knob table.
+        {"\"sweeps\": [{\"apps\": \"qft\","
+         " \"params\": {\"buffer_slots\": 2.5}}]",
+         "bad-kind"},
+        {"\"sweeps\": [{\"apps\": \"qft\","
+         " \"params\": {\"buffer_slots\": 1e10}}]",
          "bad-kind"},
         {"\"search\": {\"seed\": -1}, \"sweeps\": [{\"apps\": \"qft\"}]",
          "bad-search"},

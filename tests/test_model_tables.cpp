@@ -112,5 +112,35 @@ TEST(ModelTables, SharedCacheReturnsOneInstancePerParameterization)
     EXPECT_EQ(a.get(), e.get());
 }
 
+TEST(ModelTables, SharedCacheIsBoundedAndKeepsHandedOutTablesValid)
+{
+    // Distinct kappas stand in for a long sensitivity axis; each one is
+    // a parameterization of its own.
+    constexpr int kMaxChain = 6;
+    const auto params = [](size_t i) {
+        HardwareParams hw;
+        hw.kappa = 1e-6 * static_cast<double>(i + 1);
+        return hw;
+    };
+    const auto first = ModelTables::shared(params(0), kMaxChain);
+    for (size_t i = 1; i <= ModelTables::kSharedCapacity; ++i)
+        ModelTables::shared(params(i), kMaxChain);
+
+    // More new entries than the cap holds have passed, so the first
+    // parameterization comes back as a new instance with equal
+    // entries, and the pointer held across its eviction still reads
+    // its own.
+    const auto again = ModelTables::shared(params(0), kMaxChain);
+    EXPECT_NE(again.get(), first.get());
+    EXPECT_EQ(first->fidelity().kappa(), params(0).kappa);
+    for (int n = 2; n <= kMaxChain; ++n) {
+        EXPECT_EQ(again->scaleFactorA(n), first->scaleFactorA(n));
+        for (int d = 1; d < n; ++d)
+            EXPECT_EQ(again->twoQubit(d, n), first->twoQubit(d, n));
+    }
+    EXPECT_EQ(again->logOneQubitFidelity(), first->logOneQubitFidelity());
+    EXPECT_EQ(again->logMeasureFidelity(), first->logMeasureFidelity());
+}
+
 } // namespace
 } // namespace qccd
