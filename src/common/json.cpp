@@ -4,12 +4,17 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <sstream>
-
-#include "common/error.hpp"
 
 namespace qccd
 {
+
+JsonError::JsonError(const std::string &origin, int line, int column,
+                     const std::string &message)
+    : ConfigError(origin + ":" + std::to_string(line) + ":" +
+                  std::to_string(column) + ": " + message),
+      line(line), column(column), message(message)
+{
+}
 
 const JsonValue *
 JsonValue::find(const std::string &key) const
@@ -74,21 +79,10 @@ JsonParser::failAt(const JsonValue &value, const std::string &msg) const
     fail(value.line, value.column, msg);
 }
 
-std::string
-JsonParser::formatAt(const JsonValue &value, const std::string &msg) const
-{
-    std::ostringstream out;
-    out << origin_ << ":" << value.line << ":" << value.column << ": "
-        << msg;
-    return out.str();
-}
-
 void
 JsonParser::fail(int line, int column, const std::string &msg) const
 {
-    std::ostringstream out;
-    out << origin_ << ":" << line << ":" << column << ": " << msg;
-    throw ConfigError(out.str());
+    throw JsonError(origin_, line, column, msg);
 }
 
 void

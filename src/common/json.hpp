@@ -9,9 +9,9 @@
  * JSON, both common in config dialects: `#` comments to end of line
  * and trailing commas in objects/arrays.
  *
- * Extracted from core/sweep_spec.cpp (PR 4) so consumers beyond the
- * sweep runner — notably core/lint.cpp, which walks spec documents
- * without executing them — share one grammar and one error format.
+ * The `.sweep` parser (core/sweep_spec.cpp) is its one reader; qccd_lint
+ * reaches it through that parser's collecting pass, which reports a
+ * syntax error as a finding placed by JsonError's parts.
  */
 
 #ifndef QCCD_COMMON_JSON_HPP
@@ -23,8 +23,26 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace qccd
 {
+
+/**
+ * What JsonParser throws: a ConfigError whose what() reads
+ * "origin:line:column: message", with its parts kept for callers that
+ * collect findings instead of stopping at the first.
+ */
+class JsonError : public ConfigError
+{
+  public:
+    JsonError(const std::string &origin, int line, int column,
+              const std::string &message);
+
+    int line;
+    int column;
+    std::string message;
+};
 
 /** One parsed JSON value with its document position. */
 struct JsonValue
@@ -70,7 +88,7 @@ std::optional<uint64_t> exactUint64(double number);
 /**
  * Recursive-descent JSON reader with positioned failures.
  *
- * Every error is a ConfigError formatted "origin:line:column: message"
+ * Every error is a JsonError formatted "origin:line:column: message"
  * — malformed input never crashes. Numbers are parsed with from_chars
  * (locale-independent, correctly rounded), so a spec literal parses to
  * the same double the C++ compiler gives the equivalent source
@@ -84,13 +102,9 @@ class JsonParser
     /** Parse one document; trailing garbage is an error. */
     JsonValue parseDocument();
 
-    /** Raise a ConfigError anchored at @p value's position. */
+    /** Raise a JsonError anchored at @p value's position. */
     [[noreturn]] void failAt(const JsonValue &value,
                              const std::string &msg) const;
-
-    /** "origin:line:column: msg" without throwing (lint diagnostics). */
-    std::string formatAt(const JsonValue &value,
-                         const std::string &msg) const;
 
     const std::string &origin() const { return origin_; }
 

@@ -16,12 +16,10 @@
 #include "circuit/qasm/parser.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "compiler/mapping.hpp"
 #include "core/design_point.hpp"
 #include "core/export.hpp"
 #include "core/result_store.hpp"
 #include "core/sweep_spec.hpp"
-#include "models/gate_time.hpp"
 #include "models/params.hpp"
 
 namespace qccd
@@ -121,61 +119,36 @@ fieldCount(const std::string &line)
 }
 
 /**
- * The static sweep-spec walker: reports every schema finding with its
- * document position instead of stopping at the first, then runs the
- * fit analysis over the grid's app x device cross-product.
+ * qccd_lint's own sweep checks, run over the document after the
+ * parser's collecting pass: duplicate axis values, `qasm:`/`topo:`
+ * paths that do not resolve, and the fit analysis over each grid's
+ * app x device cross-product. A value the parser rejected (a finding
+ * at its position) is skipped, so nothing here cascades from one.
  */
 class SweepLinter
 {
   public:
     SweepLinter(const std::string &origin, const std::string &base_dir,
+                const std::set<std::pair<int, int>> &rejected,
                 LintReport &report)
-        : origin_(origin), baseDir_(base_dir), report_(report)
+        : origin_(origin), baseDir_(base_dir), rejected_(rejected),
+          report_(report)
     {
     }
 
-    void walk(const JsonValue &root, SweepLintSummary *summary)
+    void checkGrids(const JsonValue &root)
     {
-        if (root.kind != JsonValue::Kind::Object) {
-            error("bad-kind", root,
-                  "spec document must be an object, got " +
-                      jsonKindName(root.kind));
+        const JsonValue *sweeps = root.kind == JsonValue::Kind::Object
+                                      ? root.find("sweeps")
+                                      : nullptr;
+        if (sweeps == nullptr || sweeps->kind != JsonValue::Kind::Array)
             return;
-        }
-        const JsonValue *sweeps = nullptr;
-        for (const auto &[key, value] : root.members) {
-            if (key == "name") {
-                checkName(value, summary);
-            } else if (key == "description") {
-                expectKind(value, JsonValue::Kind::String,
-                           "\"description\"");
-            } else if (key == "search") {
-                walkSearch(value);
-            } else if (key == "sweeps") {
-                if (expectKind(value, JsonValue::Kind::Array,
-                               "\"sweeps\""))
-                    sweeps = &value;
-            } else {
-                error("unknown-key", value,
-                      "unknown spec key \"" + key +
-                          "\" (known: name, description, search, "
-                          "sweeps)");
-            }
-        }
-        if (root.find("name") == nullptr)
-            error("missing-name", root, "spec is missing \"name\"");
-        if (sweeps == nullptr || sweeps->items.empty()) {
-            if (root.find("sweeps") == nullptr || sweeps != nullptr)
-                error("missing-sweeps", root,
-                      "spec needs a non-empty \"sweeps\" array");
-            return;
-        }
         for (const JsonValue &grid : sweeps->items)
-            walkGrid(grid);
+            if (grid.kind == JsonValue::Kind::Object)
+                checkGrid(grid);
     }
 
   private:
-    // -- diagnostics --------------------------------------------------
     void error(const char *code, const JsonValue &value,
                const std::string &msg)
     {
@@ -188,86 +161,10 @@ class SweepLinter
         addAt(report_, LintSeverity::Warning, code, origin_, value, msg);
     }
 
-    bool expectKind(const JsonValue &value, JsonValue::Kind kind,
-                    const std::string &what)
+    bool rejected(const JsonValue &value) const
     {
-        if (value.kind == kind)
-            return true;
-        error("bad-kind", value,
-              what + " must be a " + jsonKindName(kind) + ", got " +
-                  jsonKindName(value.kind));
-        return false;
+        return rejected_.count({value.line, value.column}) != 0;
     }
-
-    std::optional<int> intOf(const JsonValue &value,
-                             const std::string &what)
-    {
-        if (!expectKind(value, JsonValue::Kind::Number, what))
-            return std::nullopt;
-        const std::optional<int> integral = exactInt(value.number);
-        if (!integral)
-            error("bad-kind", value,
-                  what + " must be an integer in int range");
-        return integral;
-    }
-
-    void checkName(const JsonValue &value, SweepLintSummary *summary)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, "\"name\""))
-            return;
-        if (summary != nullptr)
-            summary->name = value.text;
-        if (value.text.empty()) {
-            error("bad-name", value, "\"name\" must not be empty");
-            return;
-        }
-        for (const char c : value.text) {
-            const bool ok =
-                std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                c == '_' || c == '-' || c == '.';
-            if (!ok) {
-                error("bad-name", value,
-                      "\"name\" may only contain letters, digits, "
-                      "'_', '-' and '.'");
-                return;
-            }
-        }
-    }
-
-    /** The "search" options block: same schema the parser enforces
-     *  (sweep_spec.cpp parseSearch), but error-accumulating so one
-     *  pass reports every defect with its position. */
-    void walkSearch(const JsonValue &value)
-    {
-        if (!expectKind(value, JsonValue::Kind::Object, "\"search\""))
-            return;
-        for (const auto &[key, v] : value.members) {
-            if (key == "budget") {
-                const std::optional<int> budget =
-                    intOf(v, "\"budget\"");
-                if (budget && *budget < 1)
-                    error("bad-search", v,
-                          "\"budget\" must be at least 1");
-            } else if (key == "eta") {
-                const std::optional<int> eta = intOf(v, "\"eta\"");
-                if (eta && *eta < 2)
-                    error("bad-search", v,
-                          "\"eta\" must be at least 2");
-            } else if (key == "seed") {
-                if (expectKind(v, JsonValue::Kind::Number, "\"seed\"") &&
-                    !exactUint64(v.number))
-                    error("bad-search", v,
-                          "\"seed\" must be a non-negative integer "
-                          "below 2^64");
-            } else {
-                error("unknown-key", v,
-                      "unknown search key \"" + key +
-                          "\" (known: budget, eta, seed)");
-            }
-        }
-    }
-
-    // -- grid walk ----------------------------------------------------
 
     /** One value of the fit-relevant axes, with its position. */
     struct Sited
@@ -282,66 +179,24 @@ class SweepLinter
         std::vector<Sited> apps;       // text = application label
         std::vector<Sited> topologies; // text = resolved topology spec
         std::vector<Sited> capacities; // number = trap capacity
-        std::vector<int> buffers;      // swept buffer slot values
+        std::vector<int> buffers;      // "buffer" and "buffer_slots"
     };
 
-    void walkGrid(const JsonValue &grid)
+    void checkGrid(const JsonValue &grid)
     {
-        if (grid.kind != JsonValue::Kind::Object) {
-            error("bad-kind", grid,
-                  "sweep grid must be an object, got " +
-                      jsonKindName(grid.kind));
-            return;
-        }
         GridFacts facts;
-        size_t points = 1;
-        bool countable = true;
         for (const auto &[key, value] : grid.members) {
-            if (key == "options") {
-                checkOptions(value);
+            if (rejected(value))
+                continue;
+            if (value.kind != JsonValue::Kind::Array) {
+                addFact(key, value, facts);
                 continue;
             }
-            const auto &axes = sweepAxisKeys();
-            if (std::find(axes.begin(), axes.end(), key) == axes.end()) {
-                std::string list;
-                for (const std::string &axis_key : axes)
-                    list += axis_key + ", ";
-                error("unknown-key", value,
-                      "unknown grid key \"" + key + "\" (known: " +
-                          list + "options)");
-                continue;
-            }
-            // "params" takes an object per value, so a bare object is
-            // a scalar there, not an axis.
-            if (value.kind == JsonValue::Kind::Array) {
-                if (value.items.empty()) {
-                    error("empty-axis", value,
-                          "axis \"" + key +
-                              "\" is unreachable: an empty array "
-                              "makes the whole cross-product empty");
-                    countable = false;
-                    continue;
-                }
-                checkDuplicates(key, value);
-                for (const JsonValue &item : value.items)
-                    checkAxisValue(key, item, facts);
-                if (points > kMaxSweepPoints / value.items.size()) {
-                    error("grid-too-large", value,
-                          "grid expands past the " +
-                              std::to_string(kMaxSweepPoints) +
-                              "-point cap");
-                    countable = false;
-                } else {
-                    points *= value.items.size();
-                }
-            } else {
-                checkAxisValue(key, value, facts);
-            }
+            checkDuplicates(key, value);
+            for (const JsonValue &item : value.items)
+                if (!rejected(item))
+                    addFact(key, item, facts);
         }
-        if (grid.find("apps") == nullptr)
-            error("missing-apps", grid,
-                  "sweep grid is missing \"apps\"");
-        static_cast<void>(countable);
         checkFit(facts);
     }
 
@@ -371,187 +226,53 @@ class SweepLinter
         }
     }
 
-    void checkAxisValue(const std::string &key, const JsonValue &value,
-                        GridFacts &facts)
+    /** Record a value the parser accepted, resolving file paths. */
+    void addFact(const std::string &key, const JsonValue &value,
+                 GridFacts &facts)
     {
         if (key == "apps") {
-            checkApp(value, facts);
-        } else if (key == "topology") {
-            checkTopology(value, facts);
-        } else if (key == "capacity") {
-            if (const auto capacity = intOf(value, "\"capacity\"")) {
-                if (*capacity < 2)
-                    error("bad-capacity", value,
-                          "trap capacity must be at least 2, got " +
-                              std::to_string(*capacity));
-                else
-                    facts.capacities.push_back(
-                        {"", *capacity, &value});
-            }
-        } else if (key == "gate") {
-            checkLookup(value, "\"gate\"", "unknown-gate", [&] {
-                gateImplFromName(value.text);
-            });
-        } else if (key == "reorder") {
-            checkLookup(value, "\"reorder\"", "unknown-reorder", [&] {
-                reorderMethodFromName(value.text);
-            });
-        } else if (key == "policy") {
-            checkLookup(value, "\"policy\"", "unknown-policy", [&] {
-                mappingPolicyFromName(value.text);
-            });
-        } else if (key == "buffer") {
-            if (const auto buffer = intOf(value, "\"buffer\"")) {
-                if (*buffer < 0)
-                    error("bad-buffer", value,
-                          "buffer slots must be non-negative, got " +
-                              std::to_string(*buffer));
-                else
-                    facts.buffers.push_back(*buffer);
-            }
-        } else if (key == "params") {
-            checkParams(value);
-        }
-    }
-
-    template <typename Fn>
-    void checkLookup(const JsonValue &value, const std::string &what,
-                     const char *code, Fn &&lookup)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, what))
-            return;
-        try {
-            lookup();
-        } catch (const ConfigError &err) {
-            error(code, value, err.what());
-        }
-    }
-
-    void checkApp(const JsonValue &value, GridFacts &facts)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, "application"))
-            return;
-        const std::string qasm_prefix = "qasm:";
-        if (value.text.rfind(qasm_prefix, 0) == 0) {
-            const std::string rel =
-                value.text.substr(qasm_prefix.size());
-            if (rel.empty()) {
-                error("missing-file", value,
-                      "empty path after \"qasm:\"");
+            const std::string qasm_prefix = "qasm:";
+            if (value.text.rfind(qasm_prefix, 0) == 0 &&
+                !resolvedFile(value, qasm_prefix))
                 return;
-            }
-            const std::string path = resolveRelative(rel, baseDir_);
-            if (!isRegularFile(path)) {
-                error("missing-file", value,
-                      "\"qasm:\" path does not resolve: '" + path +
-                          "'");
-                return;
-            }
             facts.apps.push_back({value.text, 0, &value});
-            return;
-        }
-        bool known = false;
-        for (const BenchmarkSpec &bench : benchmarkList())
-            known = known || bench.name == value.text;
-        if (!known) {
-            error("unknown-app", value,
-                  "unknown application '" + value.text +
-                      "' (see qccd_explore --list, or use "
-                      "\"qasm:FILE\")");
-            return;
-        }
-        facts.apps.push_back({value.text, 0, &value});
-    }
-
-    void checkTopology(const JsonValue &value, GridFacts &facts)
-    {
-        if (!expectKind(value, JsonValue::Kind::String, "\"topology\""))
-            return;
-        const std::string topo_prefix = "topo:";
-        if (value.text.rfind(topo_prefix, 0) == 0) {
-            const std::string rel =
-                value.text.substr(topo_prefix.size());
-            if (rel.empty()) {
-                error("missing-file", value,
-                      "empty path after \"topo:\"");
-                return;
-            }
-            const std::string path = resolveRelative(rel, baseDir_);
-            if (!isRegularFile(path)) {
-                error("missing-file", value,
-                      "\"topo:\" path does not resolve: '" + path +
-                          "'");
-                return;
-            }
-            facts.topologies.push_back(
-                {topo_prefix + path, 0, &value});
-            return;
-        }
-        try {
-            validateTopologySpec(value.text);
-        } catch (const ConfigError &err) {
-            error("bad-topology", value, err.what());
-            return;
-        }
-        facts.topologies.push_back({value.text, 0, &value});
-    }
-
-    void checkParams(const JsonValue &value)
-    {
-        if (value.kind != JsonValue::Kind::Object) {
-            error("bad-kind", value,
-                  "\"params\" must be an object (or an array of "
-                  "objects), got " + jsonKindName(value.kind));
-            return;
-        }
-        // The parser's own lookup and value check: same rule, same words.
-        for (const auto &[param, pv] : value.members) {
-            const char *code = "unknown-param";
-            try {
-                const HardwareKnob &knob = hardwareKnob(param);
-                code = "bad-kind";
-                if (expectKind(pv, JsonValue::Kind::Number,
-                               "parameter \"" + param + "\""))
-                    knob.check(pv.number);
-            } catch (const ConfigError &err) {
-                error(code, pv, err.what());
-            }
+        } else if (key == "topology") {
+            const std::string topo_prefix = "topo:";
+            if (value.text.rfind(topo_prefix, 0) != 0)
+                facts.topologies.push_back({value.text, 0, &value});
+            else if (const auto path = resolvedFile(value, topo_prefix))
+                facts.topologies.push_back(
+                    {topo_prefix + *path, 0, &value});
+        } else if (key == "capacity") {
+            facts.capacities.push_back(
+                {"", static_cast<int>(value.number), &value});
+        } else if (key == "buffer") {
+            facts.buffers.push_back(static_cast<int>(value.number));
+        } else if (key == "params") {
+            const JsonValue *slots = value.find("buffer_slots");
+            if (slots != nullptr && !rejected(*slots))
+                facts.buffers.push_back(static_cast<int>(slots->number));
         }
     }
 
-    void checkOptions(const JsonValue &value)
+    /** @p value's path after @p prefix, resolved against the spec's
+     *  directory; nullopt, after a finding, when it names no file. */
+    std::optional<std::string> resolvedFile(const JsonValue &value,
+                                            const std::string &prefix)
     {
-        if (!expectKind(value, JsonValue::Kind::Object, "\"options\""))
-            return;
-        for (const auto &[key, v] : value.members) {
-            if (key == "decompose_runtime") {
-                expectKind(v, JsonValue::Kind::Bool,
-                           "\"decompose_runtime\"");
-            } else if (key == "point_timeout_ms") {
-                const std::optional<int> ms =
-                    intOf(v, "\"point_timeout_ms\"");
-                if (ms && *ms < 1)
-                    error("bad-option", v,
-                          "\"point_timeout_ms\" must be at least 1");
-            } else if (key == "cache") {
-                if (expectKind(v, JsonValue::Kind::String,
-                               "\"cache\"") &&
-                    v.text.empty())
-                    error("bad-option", v,
-                          "\"cache\" must not be empty");
-            } else {
-                error("unknown-option", v,
-                      "unknown option \"" + key +
-                          "\" (known: cache, decompose_runtime, "
-                          "point_timeout_ms)");
-            }
-        }
+        const std::string path =
+            resolveRelative(value.text.substr(prefix.size()), baseDir_);
+        if (isRegularFile(path))
+            return path;
+        error("missing-file", value,
+              "\"" + prefix + "\" path does not resolve: '" + path + "'");
+        return std::nullopt;
     }
 
     // -- capacity/trap fit analysis ----------------------------------
 
     /** Qubit count of @p app ("qasm:" or builtin); nullopt after a
-     *  diagnostic (bad QASM) or for apps already reported unknown. */
+     *  diagnostic (bad QASM). */
     std::optional<int> appQubits(const Sited &app)
     {
         const auto cached = qubitCache_.find(app.text);
@@ -662,6 +383,7 @@ class SweepLinter
 
     const std::string &origin_;
     const std::string &baseDir_;
+    const std::set<std::pair<int, int>> &rejected_;
     LintReport &report_;
 
     std::map<std::string, std::optional<int>> qubitCache_;
@@ -723,26 +445,26 @@ lintSweepText(const std::string &text, const std::string &origin,
     ++report.filesChecked;
     const size_t before = report.errorCount();
     try {
-        JsonParser parser(text, origin);
-        const JsonValue root = parser.parseDocument();
-        SweepLinter(origin, base_dir, report).walk(root, summary);
-    } catch (const ConfigError &err) {
-        addFromConfigError(report, "parse", origin, err.what());
-    } catch (const std::exception &err) {
-        addDiag(report, LintSeverity::Error, "internal", origin, 0, 0,
-                std::string("linter failure: ") + err.what());
-    }
-    if (summary == nullptr || report.errorCount() != before)
-        return;
-    // The walk was clean, so the real parser must accept the spec; its
-    // expansion gives the point count the covering golden must match.
-    // Any residual rejection is itself a finding (the linter's schema
-    // walk missed something the parser enforces).
-    try {
-        summary->points = parseSweepPlan(text, origin, base_dir).size();
-        summary->expanded = true;
-    } catch (const ConfigError &err) {
-        addFromConfigError(report, "parse", origin, err.what());
+        // One pass of the parser's own schema reports every finding;
+        // lint's checks then run on what it accepted.
+        JsonValue document;
+        std::vector<SweepSpecFinding> findings;
+        const SweepPlan plan =
+            parseSweepPlan(text, origin, base_dir, document, findings);
+        std::set<std::pair<int, int>> rejected;
+        for (SweepSpecFinding &finding : findings) {
+            addDiag(report, LintSeverity::Error, finding.code, origin,
+                    finding.line, finding.column,
+                    std::move(finding.message));
+            rejected.emplace(finding.line, finding.column);
+        }
+        SweepLinter(origin, base_dir, rejected, report)
+            .checkGrids(document);
+        if (summary != nullptr) {
+            summary->name = plan.name;
+            summary->points = plan.size();
+            summary->expanded = report.errorCount() == before;
+        }
     } catch (const std::exception &err) {
         addDiag(report, LintSeverity::Error, "internal", origin, 0, 0,
                 std::string("linter failure: ") + err.what());

@@ -9,24 +9,30 @@
  * contradictions (an application that cannot fit any swept device, a
  * golden CSV whose row count no longer matches its spec's expanded
  * grid) only surface points-deep into a run or as a CI golden diff.
- * The linter walks the artifacts purely statically, reports *every*
+ * The linter checks the artifacts purely statically, reports *every*
  * finding with `origin:line:col` diagnostics in one pass, and never
  * throws or crashes on arbitrary input — so `qccd_lint examples/
  * golden/` can gate CI cheaply before any simulation happens.
  *
  * Checks (stable diagnostic codes in brackets):
- *  - `.sweep`: syntax [parse], unknown spec/grid/option/param keys
+ *  - `.sweep`, the spec parser's own schema (core/sweep_spec.hpp), run
+ *    in its collecting mode so each rule has one text in both tools:
+ *    syntax [parse], unknown spec/grid/search/option/param keys
  *    [unknown-key, unknown-option, unknown-param], wrong value kinds
- *    [bad-kind], unreachable axes — empty cross-products [empty-axis],
- *    duplicate axis values [duplicate-axis-value, warning], unknown
- *    applications/gates/reorders/policies [unknown-app, unknown-gate,
- *    unknown-reorder, unknown-policy], bad topology specs
- *    [bad-topology], `qasm:`/`topo:` paths that do not resolve
- *    [missing-file], capacity bounds [bad-capacity, bad-buffer], grids
- *    beyond the expansion cap [grid-too-large], applications that
+ *    [bad-kind], missing or bad keys [missing-name, bad-name,
+ *    missing-sweeps, missing-apps, bad-search, bad-option], empty axes
+ *    [empty-axis], grids or specs beyond the expansion cap
+ *    [grid-too-large], unknown applications/gates/reorders/policies
+ *    [unknown-app, unknown-gate, unknown-reorder, unknown-policy], bad
+ *    topology specs [bad-topology], empty `qasm:`/`topo:` paths
+ *    [missing-file], and capacity bounds [bad-capacity, bad-buffer].
+ *  - `.sweep`, lint's own checks on what the parser accepted: duplicate
+ *    axis values [duplicate-axis-value, warning], `qasm:`/`topo:` paths
+ *    that do not resolve [missing-file], devices that fail to build
+ *    [bad-topology], unreadable QASM [bad-qasm], applications that
  *    cannot fit a swept device's total capacity [app-does-not-fit],
- *    and fits that only work by shrinking the buffer [tight-fit,
- *    warning].
+ *    and fits that only work by shrinking the buffer (the least of the
+ *    grid's "buffer" and "buffer_slots" values) [tight-fit, warning].
  *  - `.topo`: the loader's full syntax and graph validation, reported
  *    as diagnostics instead of exceptions [topo-parse, topo-graph].
  *  - `.qcache` result stores (core/result_store.hpp): magic
@@ -102,9 +108,9 @@ struct LintReport
 };
 
 /**
- * What the sweep walk learned about a spec, for cross-artifact checks.
- * `points` is the statically expanded grid size (0 when the spec was
- * too broken to expand).
+ * What linting learned about a spec, for cross-artifact checks.
+ * `points` is the parser's point count; `expanded` is true only when
+ * the spec linted without errors.
  */
 struct SweepLintSummary
 {

@@ -1,12 +1,14 @@
 #include "core/sweep_spec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "arch/builders.hpp"
 #include "benchgen/benchgen.hpp"
@@ -23,180 +25,256 @@ namespace qccd
 namespace
 {
 
+/** Hard cap on expanded points, so a typo'd grid cannot OOM the host. */
+constexpr size_t kMaxSweepPoints = size_t{1} << 20;
+
+/** Grid keys that take axis values; makeSetter dispatches on each. */
+constexpr std::array<std::string_view, 8> kAxisKeys = {
+    "apps",    "topology", "capacity", "gate",
+    "reorder", "buffer",   "policy",   "params"};
+
+/**
+ * The spec schema. Every rule reports through report() with its stable
+ * `qccd_lint` code: without a findings sink the first report throws
+ * (parseSweepPlan), with one each is recorded and the caller steps past
+ * the bad value (qccd_lint). Messages are built only when a rule fails.
+ */
 class SpecBuilder
 {
   public:
-    SpecBuilder(const JsonParser &parser, const std::string &base_dir)
-        : parser_(parser), baseDir_(base_dir)
+    SpecBuilder(const JsonParser &parser, const std::string &base_dir,
+                std::vector<SweepSpecFinding> *findings)
+        : parser_(parser), baseDir_(base_dir), findings_(findings)
     {
     }
 
-    SweepPlan build(const JsonValue &root)
+    SweepPlan build(const JsonValue &root) const
     {
-        expect(root, JsonValue::Kind::Object, "spec document");
         SweepPlan plan;
+        if (!expect(root, JsonValue::Kind::Object, "spec document"))
+            return plan;
         const JsonValue *sweeps = nullptr;
         for (const auto &[key, value] : root.members) {
             if (key == "name") {
-                expect(value, JsonValue::Kind::String, "\"name\"");
-                plan.name = value.text;
-                checkName(value);
+                if (expect(value, JsonValue::Kind::String, "\"name\"")) {
+                    plan.name = value.text;
+                    checkName(value);
+                }
             } else if (key == "description") {
-                expect(value, JsonValue::Kind::String,
-                       "\"description\"");
-                plan.description = value.text;
+                if (expect(value, JsonValue::Kind::String,
+                           "\"description\""))
+                    plan.description = value.text;
             } else if (key == "search") {
                 parseSearch(value, plan.search);
             } else if (key == "sweeps") {
-                expect(value, JsonValue::Kind::Array, "\"sweeps\"");
-                sweeps = &value;
+                if (expect(value, JsonValue::Kind::Array, "\"sweeps\""))
+                    sweeps = &value;
             } else {
-                parser_.failAt(value,
-                               "unknown spec key \"" + key +
-                                   "\" (known: name, description, "
-                                   "search, sweeps)");
+                report("unknown-key", value,
+                       "unknown spec key \"" + key +
+                           "\" (known: name, description, search, "
+                           "sweeps)");
             }
         }
-        if (plan.name.empty())
-            parser_.failAt(root, "spec is missing \"name\"");
-        if (sweeps == nullptr || sweeps->items.empty())
-            parser_.failAt(root,
-                           "spec needs a non-empty \"sweeps\" array");
-        size_t total = 0;
-        for (const JsonValue &grid : sweeps->items) {
-            plan.grids.push_back(buildGrid(grid, total));
-            total += plan.grids.back().size();
+        // A present key of the wrong kind already has its finding.
+        if (root.find("name") == nullptr)
+            report("missing-name", root, "spec is missing \"name\"");
+        if (sweeps == nullptr || sweeps->items.empty()) {
+            if (sweeps != nullptr || root.find("sweeps") == nullptr)
+                report("missing-sweeps", root,
+                       "spec needs a non-empty \"sweeps\" array");
+            return plan;
         }
+        for (const JsonValue &grid : sweeps->items)
+            addGrid(grid, plan);
         return plan;
     }
 
   private:
-    void expect(const JsonValue &value, JsonValue::Kind kind,
-                const std::string &what) const
+    void report(const char *code, const JsonValue &value,
+                std::string message) const
     {
-        if (value.kind != kind)
-            parser_.failAt(value, what + " must be a " +
-                                      jsonKindName(kind) + ", got " +
-                                      jsonKindName(value.kind));
+        if (findings_ == nullptr)
+            parser_.failAt(value, message);
+        findings_->push_back(
+            {code, value.line, value.column, std::move(message)});
+    }
+
+    bool expect(const JsonValue &value, JsonValue::Kind kind,
+                std::string_view what) const
+    {
+        if (value.kind == kind) [[likely]]
+            return true;
+        report("bad-kind", value,
+               std::string(what) + " must be a " + jsonKindName(kind) +
+                   ", got " + jsonKindName(value.kind));
+        return false;
+    }
+
+    std::optional<int> intOf(const JsonValue &value,
+                             std::string_view what) const
+    {
+        if (!expect(value, JsonValue::Kind::Number, what))
+            return std::nullopt;
+        const std::optional<int> integral = exactInt(value.number);
+        if (!integral)
+            report("bad-kind", value,
+                   std::string(what) + " must be an integer in int range");
+        return integral;
     }
 
     /** The spec name becomes an output file stem; keep it shell-safe. */
     void checkName(const JsonValue &value) const
     {
+        const auto safe = [](char c) {
+            return std::isalnum(static_cast<unsigned char>(c)) ||
+                   c == '_' || c == '-' || c == '.';
+        };
         if (value.text.empty())
-            parser_.failAt(value, "\"name\" must not be empty");
-        for (const char c : value.text) {
-            const bool ok =
-                std::isalnum(static_cast<unsigned char>(c)) ||
-                c == '_' || c == '-' || c == '.';
-            if (!ok)
-                parser_.failAt(value,
-                               "\"name\" may only contain letters, "
-                               "digits, '_', '-' and '.'");
-        }
-    }
-
-    int intOf(const JsonValue &value, const std::string &what) const
-    {
-        expect(value, JsonValue::Kind::Number, what);
-        const std::optional<int> integral = exactInt(value.number);
-        if (!integral)
-            parser_.failAt(value, what + " must be an integer in int range");
-        return *integral;
+            report("bad-name", value, "\"name\" must not be empty");
+        else if (!std::all_of(value.text.begin(), value.text.end(), safe))
+            report("bad-name", value,
+                   "\"name\" may only contain letters, digits, '_', '-' "
+                   "and '.'");
     }
 
     /**
      * Run a name-lookup helper (gate/reorder/policy names, parameter
-     * keys) whose ConfigErrors carry no document position, and re-raise
-     * them anchored at @p value. Errors thrown via failAt() elsewhere
-     * already carry their position and must not pass through this (the
-     * prefix would double up).
+     * keys) whose ConfigErrors carry no document position, and report
+     * them under @p code at @p value. Errors raised via report()
+     * elsewhere already carry their position and must not pass through
+     * this (the prefix would double up).
      */
     template <typename Fn>
-    auto lookupAt(const JsonValue &value, Fn &&fn) const
+    auto lookupAt(const char *code, const JsonValue &value, Fn &&fn) const
+        -> std::optional<decltype(fn())>
     {
         try {
             return fn();
         } catch (const ConfigError &err) {
-            parser_.failAt(value, err.what());
+            report(code, value, err.what());
+            return std::nullopt;
         }
     }
 
+    /** A string value resolved by @p fromName, e.g. a gate name. */
+    template <typename FromName>
+    auto named(const JsonValue &value, std::string_view what,
+               const char *code, FromName fromName) const
+    {
+        return expect(value, JsonValue::Kind::String, what)
+                   ? lookupAt(code, value,
+                              [&] { return fromName(value.text); })
+                   : std::nullopt;
+    }
+
     /**
-     * Validate one axis value now (all schema and name errors carry
-     * the document position) and return a setter that applies it to a
-     * point later — the lazy-grid building block. Applying the
-     * returned setter is exactly what the eager expansion used to do
-     * in place.
+     * Validate one axis value now (every finding carries the document
+     * position) and return a setter that applies it to a point later —
+     * the lazy-grid building block; empty when the value is rejected.
      */
-    SweepGrid::Setter makeSetter(const std::string &key,
+    SweepGrid::Setter makeSetter(std::string_view key,
                                  const JsonValue &value) const
     {
         if (key == "apps") {
-            expect(value, JsonValue::Kind::String, "application");
-            return makeApplicationSetter(value.text, value);
+            if (!expect(value, JsonValue::Kind::String, "application"))
+                return nullptr;
+            return makeApplicationSetter(value);
         }
         if (key == "topology") {
-            expect(value, JsonValue::Kind::String, "\"topology\"");
-            return makeTopologySetter(value.text, value);
+            if (!expect(value, JsonValue::Kind::String, "\"topology\""))
+                return nullptr;
+            return makeTopologySetter(value);
         }
         if (key == "capacity") {
-            const int capacity = intOf(value, "\"capacity\"");
-            return [capacity](PlannedPoint &point) {
+            const std::optional<int> capacity = intOf(value, "\"capacity\"");
+            if (!capacity)
+                return nullptr;
+            if (*capacity < 2) {
+                report("bad-capacity", value,
+                       "trap capacity must be at least 2, got " +
+                           std::to_string(*capacity));
+                return nullptr;
+            }
+            return [capacity = *capacity](PlannedPoint &point) {
                 point.design.trapCapacity = capacity;
             };
         }
         if (key == "gate") {
-            expect(value, JsonValue::Kind::String, "\"gate\"");
-            const GateImpl impl = lookupAt(
-                value, [&] { return gateImplFromName(value.text); });
-            return [impl](PlannedPoint &point) {
+            const auto impl =
+                named(value, "\"gate\"", "unknown-gate", gateImplFromName);
+            if (!impl)
+                return nullptr;
+            return [impl = *impl](PlannedPoint &point) {
                 point.design.hw.gateImpl = impl;
             };
         }
         if (key == "reorder") {
-            expect(value, JsonValue::Kind::String, "\"reorder\"");
-            const ReorderMethod reorder = lookupAt(value, [&] {
-                return reorderMethodFromName(value.text);
-            });
-            return [reorder](PlannedPoint &point) {
+            const auto reorder = named(value, "\"reorder\"",
+                                       "unknown-reorder",
+                                       reorderMethodFromName);
+            if (!reorder)
+                return nullptr;
+            return [reorder = *reorder](PlannedPoint &point) {
                 point.design.hw.reorder = reorder;
             };
         }
         if (key == "buffer") {
-            const int buffer = intOf(value, "\"buffer\"");
-            return [buffer](PlannedPoint &point) {
+            const std::optional<int> buffer = intOf(value, "\"buffer\"");
+            if (!buffer)
+                return nullptr;
+            if (*buffer < 0) {
+                report("bad-buffer", value,
+                       "buffer slots must be non-negative, got " +
+                           std::to_string(*buffer));
+                return nullptr;
+            }
+            return [buffer = *buffer](PlannedPoint &point) {
                 point.design.hw.bufferSlots = buffer;
             };
         }
         if (key == "policy") {
-            expect(value, JsonValue::Kind::String, "\"policy\"");
-            const MappingPolicy policy = lookupAt(value, [&] {
-                return mappingPolicyFromName(value.text);
-            });
-            return [policy](PlannedPoint &point) {
+            const auto policy = named(value, "\"policy\"",
+                                      "unknown-policy",
+                                      mappingPolicyFromName);
+            if (!policy)
+                return nullptr;
+            return [policy = *policy](PlannedPoint &point) {
                 point.options.mappingPolicy = policy;
             };
         }
-        if (key == "params") {
-            expect(value, JsonValue::Kind::Object, "\"params\"");
-            std::vector<std::pair<const HardwareKnob *, double>> overrides;
-            for (const auto &[param, pv] : value.members) {
+        if (key == "params")
+            return makeParamsSetter(value);
+        panicUnless(false, "axis key missing from kAxisKeys");
+        return nullptr;
+    }
+
+    SweepGrid::Setter makeParamsSetter(const JsonValue &value) const
+    {
+        if (!expect(value, JsonValue::Kind::Object, "\"params\""))
+            return nullptr;
+        std::vector<std::pair<const HardwareKnob *, double>> overrides;
+        for (const auto &[param, pv] : value.members) {
+            if (pv.kind != JsonValue::Kind::Number) {
                 expect(pv, JsonValue::Kind::Number,
                        "parameter \"" + param + "\"");
-                overrides.emplace_back(lookupAt(pv, [&] {
-                    const HardwareKnob &knob = hardwareKnob(param);
-                    knob.check(pv.number);
-                    return &knob;
-                }), pv.number);
+                continue;
             }
-            return [overrides](PlannedPoint &point) {
-                for (const auto &[knob, number] : overrides)
-                    knob->set(point.design.hw, number);
-            };
+            const auto knob = lookupAt("unknown-param", pv, [&] {
+                return &hardwareKnob(param);
+            });
+            if (knob && lookupAt("bad-kind", pv, [&] {
+                    (*knob)->check(pv.number);
+                    return true;
+                }))
+                overrides.emplace_back(*knob, pv.number);
         }
-        panicUnless(false, "axis key missing from sweepAxisKeys");
-        return {};
+        if (overrides.size() != value.members.size())
+            return nullptr;
+        return [overrides](PlannedPoint &point) {
+            for (const auto &[knob, number] : overrides)
+                knob->set(point.design.hw, number);
+        };
     }
 
     /**
@@ -205,39 +283,41 @@ class SpecBuilder
      * paths resolve relative to the spec file like "qasm:" paths do
      * (the file itself is read when the device is built).
      */
-    SweepGrid::Setter
-    makeTopologySetter(const std::string &text,
-                       const JsonValue &value) const
+    SweepGrid::Setter makeTopologySetter(const JsonValue &value) const
     {
+        const std::string &text = value.text;
         const std::string topo_prefix = "topo:";
         std::string spec = text;
         if (text.rfind(topo_prefix, 0) == 0) {
             std::string path = text.substr(topo_prefix.size());
-            if (path.empty())
-                parser_.failAt(value, "empty path after \"topo:\"");
+            if (path.empty()) {
+                report("missing-file", value, "empty path after \"topo:\"");
+                return nullptr;
+            }
             if (path[0] != '/' && !baseDir_.empty())
                 path = baseDir_ + "/" + path;
             spec = topo_prefix + path;
-        } else {
-            lookupAt(value, [&] {
-                validateTopologySpec(text);
-                return 0;
-            });
+        } else if (!lookupAt("bad-topology", value, [&] {
+                       validateTopologySpec(text);
+                       return true;
+                   })) {
+            return nullptr;
         }
         return [spec](PlannedPoint &point) {
             point.design.topologySpec = spec;
         };
     }
 
-    SweepGrid::Setter
-    makeApplicationSetter(const std::string &text,
-                          const JsonValue &value) const
+    SweepGrid::Setter makeApplicationSetter(const JsonValue &value) const
     {
+        const std::string &text = value.text;
         const std::string qasm_prefix = "qasm:";
         if (text.rfind(qasm_prefix, 0) == 0) {
             std::string path = text.substr(qasm_prefix.size());
-            if (path.empty())
-                parser_.failAt(value, "empty path after \"qasm:\"");
+            if (path.empty()) {
+                report("missing-file", value, "empty path after \"qasm:\"");
+                return nullptr;
+            }
             if (path[0] != '/' && !baseDir_.empty())
                 path = baseDir_ + "/" + path;
             std::string stem = stemOf(path);
@@ -251,10 +331,13 @@ class SpecBuilder
         bool known = false;
         for (const BenchmarkSpec &bench : benchmarkList())
             known = known || bench.name == text;
-        if (!known)
-            parser_.failAt(value, "unknown application '" + text +
-                                      "' (see qccd_explore --list, or "
-                                      "use \"qasm:FILE\")");
+        if (!known) {
+            report("unknown-app", value,
+                   "unknown application '" + text +
+                       "' (see qccd_explore --list, or use "
+                       "\"qasm:FILE\")");
+            return nullptr;
+        }
         return [text](PlannedPoint &point) {
             point.qasmPath.clear();
             point.application = text;
@@ -273,31 +356,37 @@ class SpecBuilder
 
     void parseOptions(const JsonValue &value, RunOptions &options) const
     {
-        expect(value, JsonValue::Kind::Object, "\"options\"");
+        if (!expect(value, JsonValue::Kind::Object, "\"options\""))
+            return;
         for (const auto &[key, v] : value.members) {
             if (key == "decompose_runtime") {
-                expect(v, JsonValue::Kind::Bool,
-                       "\"decompose_runtime\"");
-                options.decomposeRuntime = v.boolean;
+                if (expect(v, JsonValue::Kind::Bool,
+                           "\"decompose_runtime\""))
+                    options.decomposeRuntime = v.boolean;
             } else if (key == "point_timeout_ms") {
-                const int ms = intOf(v, "\"point_timeout_ms\"");
-                if (ms < 1)
-                    parser_.failAt(v, "\"point_timeout_ms\" must be "
-                                      "at least 1");
-                options.pointTimeoutMs = ms;
+                const std::optional<int> ms =
+                    intOf(v, "\"point_timeout_ms\"");
+                if (ms && *ms < 1)
+                    report("bad-option", v,
+                           "\"point_timeout_ms\" must be at least 1");
+                else if (ms)
+                    options.pointTimeoutMs = *ms;
             } else if (key == "cache") {
-                expect(v, JsonValue::Kind::String, "\"cache\"");
-                if (v.text.empty())
-                    parser_.failAt(v, "\"cache\" must not be empty");
+                if (!expect(v, JsonValue::Kind::String, "\"cache\""))
+                    continue;
+                if (v.text.empty()) {
+                    report("bad-option", v, "\"cache\" must not be empty");
+                    continue;
+                }
                 std::string path = v.text;
                 if (path[0] != '/' && !baseDir_.empty())
                     path = baseDir_ + "/" + path;
                 options.cachePath = path;
             } else {
-                parser_.failAt(v, "unknown option \"" + key +
-                                      "\" (known: cache, "
-                                      "decompose_runtime, "
-                                      "point_timeout_ms)");
+                report("unknown-option", v,
+                       "unknown option \"" + key +
+                           "\" (known: cache, decompose_runtime, "
+                           "point_timeout_ms)");
             }
         }
     }
@@ -306,115 +395,123 @@ class SpecBuilder
     void parseSearch(const JsonValue &value,
                      SearchSpecOptions &search) const
     {
-        expect(value, JsonValue::Kind::Object, "\"search\"");
+        if (!expect(value, JsonValue::Kind::Object, "\"search\""))
+            return;
         search.declared = true;
         for (const auto &[key, v] : value.members) {
             if (key == "budget") {
-                const int budget = intOf(v, "\"budget\"");
-                if (budget < 1)
-                    parser_.failAt(v,
-                                   "\"budget\" must be at least 1");
-                search.budget = static_cast<size_t>(budget);
+                const std::optional<int> budget = intOf(v, "\"budget\"");
+                if (budget && *budget < 1)
+                    report("bad-search", v, "\"budget\" must be at least 1");
+                else if (budget)
+                    search.budget = static_cast<size_t>(*budget);
             } else if (key == "eta") {
-                const int eta = intOf(v, "\"eta\"");
-                if (eta < 2)
-                    parser_.failAt(v, "\"eta\" must be at least 2");
-                search.eta = eta;
+                const std::optional<int> eta = intOf(v, "\"eta\"");
+                if (eta && *eta < 2)
+                    report("bad-search", v, "\"eta\" must be at least 2");
+                else if (eta)
+                    search.eta = *eta;
             } else if (key == "seed") {
-                expect(v, JsonValue::Kind::Number, "\"seed\"");
-                const std::optional<uint64_t> seed = exactUint64(v.number);
-                if (!seed)
-                    parser_.failAt(v, "\"seed\" must be a "
-                                      "non-negative integer below 2^64");
-                search.seed = *seed;
+                if (!expect(v, JsonValue::Kind::Number, "\"seed\""))
+                    continue;
+                if (const auto seed = exactUint64(v.number))
+                    search.seed = *seed;
+                else
+                    report("bad-search", v,
+                           "\"seed\" must be a non-negative integer below "
+                           "2^64");
             } else {
-                parser_.failAt(v, "unknown search key \"" + key +
-                                      "\" (known: budget, eta, "
-                                      "seed)");
+                report("unknown-key", v,
+                       "unknown search key \"" + key +
+                           "\" (known: budget, eta, seed)");
             }
         }
     }
 
-    SweepGrid buildGrid(const JsonValue &grid,
-                        size_t points_so_far) const
+    /** Build @p grid and append it to @p plan; a grid with a finding
+     *  that sizes it (or breaks it as a whole) is left out. */
+    void addGrid(const JsonValue &grid, SweepPlan &plan) const
     {
-        expect(grid, JsonValue::Kind::Object, "sweep grid");
+        if (!expect(grid, JsonValue::Kind::Object, "sweep grid"))
+            return;
 
         // An axis per array-valued key, in declaration order (first
         // declared varies slowest); scalars fix the value grid-wide.
         std::vector<SweepGrid::Axis> axes;
         PlannedPoint base;
-        bool have_apps = false;
+        size_t points = 1;
+        const JsonValue *past_cap = nullptr; // the axis that crosses it
 
         for (const auto &[key, value] : grid.members) {
             if (key == "options") {
                 parseOptions(value, base.options);
                 continue;
             }
-            bool known = false;
-            for (const std::string &axis_key : sweepAxisKeys())
-                known = known || key == axis_key;
-            if (!known) {
+            if (std::find(kAxisKeys.begin(), kAxisKeys.end(), key) ==
+                kAxisKeys.end()) {
                 std::string list;
-                for (const std::string &axis_key : sweepAxisKeys())
-                    list += axis_key + ", ";
-                parser_.failAt(value, "unknown grid key \"" + key +
-                                          "\" (known: " + list +
-                                          "options)");
+                for (const std::string_view axis_key : kAxisKeys)
+                    list.append(axis_key).append(", ");
+                report("unknown-key", value,
+                       "unknown grid key \"" + key + "\" (known: " + list +
+                           "options)");
+                continue;
             }
-            have_apps = have_apps || key == "apps";
             // "params" takes an object per value, so a bare object is
             // a scalar there, not an axis.
-            const bool is_axis = value.kind == JsonValue::Kind::Array;
-            if (is_axis) {
-                if (value.items.empty())
-                    parser_.failAt(value, "axis \"" + key +
-                                              "\" must not be empty");
-                SweepGrid::Axis axis;
-                axis.key = key;
-                axis.values.reserve(value.items.size());
-                for (const JsonValue &item : value.items)
-                    axis.values.push_back(makeSetter(key, item));
-                axes.push_back(std::move(axis));
-            } else {
-                makeSetter(key, value)(base);
+            if (value.kind != JsonValue::Kind::Array) {
+                if (const SweepGrid::Setter set = makeSetter(key, value))
+                    set(base);
+                continue;
             }
-        }
-        if (!have_apps)
-            parser_.failAt(grid, "sweep grid is missing \"apps\"");
-
-        size_t total = 1;
-        for (const SweepGrid::Axis &axis : axes) {
+            if (value.items.empty()) {
+                report("empty-axis", value,
+                       "axis \"" + key +
+                           "\" must not be empty: an empty array makes "
+                           "the whole cross-product empty");
+                continue;
+            }
+            SweepGrid::Axis axis;
+            axis.key = key;
+            axis.values.reserve(value.items.size());
+            for (const JsonValue &item : value.items)
+                if (SweepGrid::Setter set = makeSetter(key, item))
+                    axis.values.push_back(std::move(set));
+            // Only a collecting pass gets here with values rejected; an
+            // axis that kept none drops out rather than empty the grid.
             const size_t n = axis.values.size();
-            if (total > kMaxSweepPoints / n)
-                parser_.failAt(grid,
-                               "grid expands to too many points");
-            total *= n;
+            if (n == 0)
+                continue;
+            if (past_cap == nullptr && points > kMaxSweepPoints / n)
+                past_cap = &value;
+            else if (past_cap == nullptr)
+                points *= n;
+            axes.push_back(std::move(axis));
         }
-        if (points_so_far > kMaxSweepPoints - total)
-            parser_.failAt(grid, "spec expands to too many points");
-
-        return {std::move(base), std::move(axes)};
+        if (grid.find("apps") == nullptr)
+            report("missing-apps", grid, "sweep grid is missing \"apps\"");
+        if (past_cap != nullptr) {
+            report("grid-too-large", *past_cap,
+                   "grid expands past the " +
+                       std::to_string(kMaxSweepPoints) + "-point cap");
+            return;
+        }
+        if (plan.size() > kMaxSweepPoints - points) {
+            report("grid-too-large", grid,
+                   "spec expands past the " +
+                       std::to_string(kMaxSweepPoints) +
+                       "-point cap with this grid");
+            return;
+        }
+        plan.grids.emplace_back(std::move(base), std::move(axes));
     }
 
     const JsonParser &parser_;
     std::string baseDir_;
+    std::vector<SweepSpecFinding> *findings_;
 };
 
 } // namespace
-
-const std::vector<std::string> &
-sweepAxisKeys()
-{
-    // One table drives the membership check, the unknown-key error
-    // text, applyAxisValue's dispatch (which panics on anything not
-    // listed here), and qccd_lint's schema walk — so the four can
-    // never drift apart.
-    static const std::vector<std::string> keys = {
-        "apps",   "topology", "capacity", "gate",
-        "reorder", "buffer",  "policy",   "params"};
-    return keys;
-}
 
 SweepGrid::SweepGrid(PlannedPoint base, std::vector<Axis> axes)
     : base_(std::move(base)), axes_(std::move(axes))
@@ -477,7 +574,23 @@ parseSweepPlan(const std::string &text, const std::string &origin,
 {
     JsonParser parser(text, origin);
     const JsonValue root = parser.parseDocument();
-    return SpecBuilder(parser, base_dir).build(root);
+    return SpecBuilder(parser, base_dir, nullptr).build(root);
+}
+
+SweepPlan
+parseSweepPlan(const std::string &text, const std::string &origin,
+               const std::string &base_dir, JsonValue &document,
+               std::vector<SweepSpecFinding> &findings)
+{
+    JsonParser parser(text, origin);
+    try {
+        document = parser.parseDocument();
+    } catch (const JsonError &err) {
+        document = JsonValue{};
+        findings.push_back({"parse", err.line, err.column, err.message});
+        return {};
+    }
+    return SpecBuilder(parser, base_dir, &findings).build(document);
 }
 
 SweepPlan

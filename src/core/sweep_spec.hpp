@@ -70,6 +70,7 @@
 namespace qccd
 {
 
+struct JsonValue;
 class ResultStore;
 class SweepEngine;
 
@@ -195,15 +196,37 @@ SweepPlan parseSweepPlan(const std::string &text,
 SweepPlan parseSweepPlanFile(const std::string &path);
 
 /**
- * Grid keys that take axis values ("apps", "topology", "capacity",
- * ...). The single source of truth for the spec schema, shared by the
- * parser's membership check and `qccd_lint`'s static walk.
+ * One schema finding: the stable `qccd_lint` code of the rule that
+ * failed ("unknown-key", "bad-capacity", ...; "parse" for JSON syntax),
+ * the offending value's 1-based position, and the message a throwing
+ * parse puts after "origin:line:column: ".
  */
-const std::vector<std::string> &sweepAxisKeys();
+struct SweepSpecFinding
+{
+    const char *code;
+    int line;
+    int column;
+    std::string message;
+};
 
-/** Hard cap on expanded points, so a typo'd grid cannot OOM the host
- *  (shared by the parser and `qccd_lint`'s static size check). */
-inline constexpr size_t kMaxSweepPoints = size_t{1} << 20;
+/**
+ * The collecting form of parseSweepPlan, for `qccd_lint`: the same pass
+ * over the same rules, but each finding is appended to @p findings and
+ * the pass steps past the bad value instead of throwing. Nothing
+ * cascades from a finding: a rejected axis value is left out of its
+ * axis with no empty-axis or size finding after it, and a wrongly typed
+ * "name" or "sweeps" gets no missing-key finding. The first finding is
+ * the error parseSweepPlan throws; with none, the plan is the one
+ * parseSweepPlan returns.
+ *
+ * @param document receives the parsed document (null after a syntax
+ *        error), so the caller can place findings of its own
+ */
+SweepPlan parseSweepPlan(const std::string &text,
+                         const std::string &origin,
+                         const std::string &base_dir,
+                         JsonValue &document,
+                         std::vector<SweepSpecFinding> &findings);
 
 /**
  * Parse sweep-spec text.
@@ -212,8 +235,8 @@ inline constexpr size_t kMaxSweepPoints = size_t{1} << 20;
  * @param origin name used in error messages (e.g. the file path)
  * @param base_dir directory "qasm:" application paths are resolved
  *        against (empty: the current working directory)
- * @throws ConfigError with origin:line:column on any syntax or schema
- *         error — malformed input never crashes
+ * @throws ConfigError with origin:line:column on the first syntax or
+ *         schema error — malformed input never crashes
  */
 SweepSpec parseSweepSpec(const std::string &text,
                          const std::string &origin = "sweep",

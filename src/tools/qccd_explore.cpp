@@ -150,6 +150,83 @@ fpContractEnabled()
     return a * b + c == std::fma(a, b, c);
 }
 
+/**
+ * Open the run's result store. --cache (@p cli_path) wins over the
+ * "cache" paths the spec declares (@p declaredOf of each of @p items:
+ * sweep passes its shard slice's points, search its grid bases), and
+ * two different declared paths are refused rather than guessed
+ * between. Refusals of the file itself (wrong magic, version skew, a
+ * live lock owner) are ConfigErrors and abort the run; anything else,
+ * an I/O failure or an injected cache.open fault, degrades to a cold
+ * run, which by contract produces the same bytes. Null: no store.
+ */
+template <typename Items, typename DeclaredOf>
+std::unique_ptr<ResultStore>
+openRunStore(const std::string &cli_path, bool verify, const Items &items,
+             DeclaredOf declaredOf)
+{
+    std::string path = cli_path;
+    if (cli_path.empty()) {
+        for (const auto &item : items) {
+            const std::string &declared = declaredOf(item);
+            if (declared.empty())
+                continue;
+            if (!path.empty() && path != declared)
+                throw ConfigError("sweep spec declares conflicting cache "
+                                  "paths ('" + path + "' vs '" +
+                                  declared +
+                                  "'); use one, or override with --cache");
+            path = declared;
+        }
+    }
+    fatalUnless(!verify || !path.empty(),
+                "--cache-verify requires a result store (--cache FILE "
+                "or the spec's \"cache\" option)");
+    if (path.empty())
+        return nullptr;
+    try {
+        return std::make_unique<ResultStore>(path);
+    } catch (const ConfigError &) {
+        throw;
+    } catch (const std::exception &err) {
+        std::cerr << "warning: result cache disabled (open failed: "
+                  << err.what() << "); continuing without it\n";
+        return nullptr;
+    }
+}
+
+/** One greppable provenance line per cached run ("^cache:"):
+ *  check_golden.sh uses it to refuse blessing goldens from a warm run,
+ *  and the CI cache job asserts hit/miss counts. */
+void
+printCacheLine(const ResultStore *store, bool verify, size_t divergent)
+{
+    if (store == nullptr)
+        return;
+    const ResultStoreStats &cs = store->stats();
+    std::cout << "cache: " << store->path() << " hits=" << cs.hits
+              << " misses=" << cs.misses << " inserts=" << cs.inserts
+              << " loaded=" << cs.loaded
+              << " quarantined=" << cs.quarantined
+              << " healed=" << (cs.healedTail ? 1 : 0);
+    if (verify)
+        std::cout << " divergent=" << divergent;
+    std::cout << "\n";
+}
+
+/** Report @p divergent cache records as an error; true if any. */
+bool
+cacheDiverged(const ResultStore *store, size_t divergent)
+{
+    if (divergent == 0)
+        return false;
+    std::cerr << "error: result cache '" << store->path() << "' has "
+              << divergent
+              << " divergent record(s); the emitted rows are the "
+                 "recomputed ones — rebuild the cache file\n";
+    return true;
+}
+
 /** Everything --sweep mode needs beyond the shared engine knobs. */
 struct SweepCliOptions
 {
@@ -209,43 +286,11 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         for (PlannedPoint &point : slice)
             point.options.pointTimeoutMs = cli.pointTimeoutMs;
 
-    // Resolve the result store: --cache wins over the spec's "cache"
-    // option; grids declaring different stores for one run is a
-    // contradiction we refuse rather than guess about.
-    std::string cache_path = cli.cachePath;
-    if (cache_path.empty()) {
-        for (const PlannedPoint &point : slice) {
-            if (point.options.cachePath.empty())
-                continue;
-            if (!cache_path.empty() &&
-                cache_path != point.options.cachePath)
-                throw ConfigError("sweep spec declares conflicting cache "
-                                  "paths ('" + cache_path + "' vs '" +
-                                  point.options.cachePath +
-                                  "'); use one, or override with --cache");
-            cache_path = point.options.cachePath;
-        }
-    }
-    fatalUnless(!cli.cacheVerify || !cache_path.empty(),
-                "--cache-verify requires a result store (--cache FILE "
-                "or the spec's \"cache\" option)");
-
-    // Refusals (wrong magic, version skew, live lock owner) are
-    // ConfigErrors and abort the run; anything else — an I/O failure
-    // or an injected cache.open fault — degrades to a cold run, which
-    // by contract produces the same bytes.
-    std::unique_ptr<ResultStore> store;
-    if (!cache_path.empty()) {
-        try {
-            store = std::make_unique<ResultStore>(cache_path);
-        } catch (const ConfigError &) {
-            throw;
-        } catch (const std::exception &err) {
-            std::cerr << "warning: result cache disabled (open "
-                         "failed: "
-                      << err.what() << "); continuing without it\n";
-        }
-    }
+    const std::unique_ptr<ResultStore> store = openRunStore(
+        cli.cachePath, cli.cacheVerify, slice,
+        [](const PlannedPoint &point) -> const std::string & {
+            return point.options.cachePath;
+        });
 
     // Shard 0 owns the header so that concatenating shard files in
     // index order reproduces the unsharded export byte-for-byte.
@@ -341,28 +386,9 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
     std::cout << "staged: " << stats.fullSchedules << " full, "
               << stats.replays << " replayed\n";
 
-    if (store != nullptr) {
-        // One greppable provenance line per cached run ("^cache:"):
-        // check_golden.sh uses it to refuse blessing goldens from a
-        // warm run, and the CI cache job asserts hit/miss counts.
-        const ResultStoreStats &cs = store->stats();
-        std::cout << "cache: " << store->path() << " hits=" << cs.hits
-                  << " misses=" << cs.misses
-                  << " inserts=" << cs.inserts
-                  << " loaded=" << cs.loaded
-                  << " quarantined=" << cs.quarantined
-                  << " healed=" << (cs.healedTail ? 1 : 0);
-        if (cli.cacheVerify)
-            std::cout << " divergent=" << stats.cacheDivergent;
-        std::cout << "\n";
-    }
-    if (stats.cacheDivergent > 0) {
-        std::cerr << "error: result cache '" << cache_path << "' has "
-                  << stats.cacheDivergent
-                  << " divergent record(s); the emitted rows are the "
-                     "recomputed ones — rebuild the cache file\n";
+    printCacheLine(store.get(), cli.cacheVerify, stats.cacheDivergent);
+    if (cacheDiverged(store.get(), stats.cacheDivergent))
         return 1;
-    }
 
     if (stats.aborted) {
         std::cerr << "error: stopping after " << stats.failed
@@ -422,38 +448,13 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
 {
     const SweepPlan plan = parseSweepPlanFile(search_file);
 
-    // Resolve the result store exactly like --sweep: the CLI flag wins
-    // over the spec's "cache" option (a grid-level option, so the grid
-    // bases carry it — no need to expand the space to find it).
-    std::string cache_path = cli.cachePath;
-    if (cache_path.empty()) {
-        for (const SweepGrid &grid : plan.grids) {
-            const std::string &declared = grid.base().options.cachePath;
-            if (declared.empty())
-                continue;
-            if (!cache_path.empty() && cache_path != declared)
-                throw ConfigError("sweep spec declares conflicting cache "
-                                  "paths ('" + cache_path + "' vs '" +
-                                  declared +
-                                  "'); use one, or override with --cache");
-            cache_path = declared;
-        }
-    }
-    fatalUnless(!cli.cacheVerify || !cache_path.empty(),
-                "--cache-verify requires a result store (--cache FILE "
-                "or the spec's \"cache\" option)");
-    std::unique_ptr<ResultStore> store;
-    if (!cache_path.empty()) {
-        try {
-            store = std::make_unique<ResultStore>(cache_path);
-        } catch (const ConfigError &) {
-            throw;
-        } catch (const std::exception &err) {
-            std::cerr << "warning: result cache disabled (open "
-                         "failed: "
-                      << err.what() << "); continuing without it\n";
-        }
-    }
+    // The "cache" option is grid-level, so the grid bases carry it: no
+    // need to expand the space to find it.
+    const std::unique_ptr<ResultStore> store = openRunStore(
+        cli.cachePath, cli.cacheVerify, plan.grids,
+        [](const SweepGrid &grid) -> const std::string & {
+            return grid.base().options.cachePath;
+        });
 
     SearchOptions options;
     options.budget = cli.budget != 0 ? cli.budget : plan.search.budget;
@@ -492,18 +493,8 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
     const SearchStats &stats = outcome.stats;
     std::cout << "staged: " << stats.run.fullSchedules << " full, "
               << stats.run.replays << " replayed\n";
-    if (store != nullptr) {
-        const ResultStoreStats &cs = store->stats();
-        std::cout << "cache: " << store->path() << " hits=" << cs.hits
-                  << " misses=" << cs.misses
-                  << " inserts=" << cs.inserts
-                  << " loaded=" << cs.loaded
-                  << " quarantined=" << cs.quarantined
-                  << " healed=" << (cs.healedTail ? 1 : 0);
-        if (cli.cacheVerify)
-            std::cout << " divergent=" << stats.run.cacheDivergent;
-        std::cout << "\n";
-    }
+    printCacheLine(store.get(), cli.cacheVerify,
+                   stats.run.cacheDivergent);
 
     // Greppable provenance ("^search:"): CI asserts evaluated stays
     // within the budget fraction of the declared space.
@@ -517,14 +508,7 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
     std::cout << "wrote " << writer.rowsWritten() << " rows to "
               << report_file << "\n";
 
-    if (stats.run.cacheDivergent > 0) {
-        std::cerr << "error: result cache '" << cache_path << "' has "
-                  << stats.run.cacheDivergent
-                  << " divergent record(s); the emitted rows are the "
-                     "recomputed ones — rebuild the cache file\n";
-        return 1;
-    }
-    return 0;
+    return cacheDiverged(store.get(), stats.run.cacheDivergent) ? 1 : 0;
 }
 
 } // namespace

@@ -185,6 +185,20 @@ expect_error "typo'd search key" "known: budget, eta, seed" \
 echo '{"name": "x", "sweeps": [{"apps": "qft", "options": {"point_timeout_ms": 0}}]}' \
     > "$scratch/badtimeout.sweep"
 expect_error "zero spec timeout" "at least 1"          --sweep "$scratch/badtimeout.sweep"
+# So does a device bound: the spec fails before any point runs, and no
+# output file is written, whether or not failures would be isolated.
+echo '{"name": "x", "sweeps": [{"apps": "bv", "capacity": [1, 14]}]}' \
+    > "$scratch/cap1.sweep"
+expect_error "spec capacity 1" "cap1\.sweep:1:.*at least 2" \
+    --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv"
+expect_error "spec capacity 1, keep-going" "cap1\.sweep:1:.*at least 2" \
+    --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv" --keep-going
+if [[ -e "$scratch/cap1.csv" || -e "$scratch/cap1.csv.errors" ]]; then
+    echo "FAIL: a spec refused at parse time left an output file" >&2
+    failures=$((failures + 1))
+else
+    echo "ok: a spec refused at parse time writes no output"
+fi
 
 # Unknown options print usage and exit 2 (argument error).
 "$EXPLORE" --frobnicate > /dev/null 2>&1

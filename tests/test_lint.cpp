@@ -13,9 +13,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <utility>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/export.hpp"
 #include "core/lint.hpp"
@@ -223,6 +225,20 @@ TEST(LintSweep, FitAnalysisAgainstDeviceCapacity)
     EXPECT_EQ(diag(report, "tight-fit")->severity,
               LintSeverity::Warning);
     EXPECT_EQ(report.errorCount(), 1u) << report.toString();
+
+    // The buffer is the least a grid runs with, "params" included: at
+    // 0 buffer slots the same device holds qft with nothing to shrink.
+    for (const char *params : {"{\"buffer_slots\": 0}",
+                               "[{\"buffer_slots\": 3},"
+                               " {\"buffer_slots\": 0}]"}) {
+        const LintReport slots = lintSpec(
+            std::string("{\"name\": \"x\", \"sweeps\": ["
+                        "{\"apps\": \"qft\", \"topology\": \"linear:6\","
+                        " \"capacity\": 12, \"params\": ") +
+            params + "}]}");
+        EXPECT_EQ(diag(slots, "tight-fit"), nullptr) << slots.toString();
+        EXPECT_TRUE(slots.clean()) << slots.toString();
+    }
 }
 
 TEST(LintSweep, CleanSpecExpandsForCrossChecks)
@@ -444,6 +460,140 @@ TEST(LintFuzz, MutatedSpecsNeverCrashTheLinter)
     // Unmutated iterations (the default branch) stay clean for valid
     // app names, so both outcomes are exercised.
     EXPECT_GT(clean, 0);
+}
+
+// ---------------------------------------------------------------------
+// Differential: lint runs the parser's own schema, so the two agree on
+// which specs are valid, and on the words and place of the first error.
+// ---------------------------------------------------------------------
+
+::testing::AssertionResult
+agreesWithParser(const std::string &text, const std::string &origin,
+                 const std::string &base_dir = "")
+{
+    LintReport report;
+    lintSweepText(text, origin, base_dir, report);
+    const auto first = std::find_if(
+        report.diagnostics.begin(), report.diagnostics.end(),
+        [](const LintDiagnostic &d) {
+            return d.severity == LintSeverity::Error;
+        });
+    try {
+        parseSweepPlan(text, origin, base_dir);
+    } catch (const ConfigError &err) {
+        if (first == report.diagnostics.end())
+            return ::testing::AssertionFailure()
+                   << "parser threw '" << err.what()
+                   << "' but lint found no error";
+        const std::string placed =
+            first->origin + ":" + std::to_string(first->line) + ":" +
+            std::to_string(first->column) + ": " + first->message;
+        if (placed != err.what())
+            return ::testing::AssertionFailure()
+                   << "parser: " << err.what()
+                   << "\nlint:   " << first->toString();
+        return ::testing::AssertionSuccess();
+    }
+    // Accepted: only lint's own checks may find an error.
+    static const std::set<std::string> kLintOwn = {
+        "missing-file", "bad-topology", "bad-qasm", "app-does-not-fit"};
+    for (const LintDiagnostic &d : report.diagnostics)
+        if (d.severity == LintSeverity::Error && kLintOwn.count(d.code) == 0)
+            return ::testing::AssertionFailure()
+                   << "parser accepts, but lint reports " << d.toString();
+    return ::testing::AssertionSuccess();
+}
+
+TEST(LintParserAgreement, SchemaFixtures)
+{
+    // SweepSpecParse.SchemaErrorsAreCleanAndPositioned's fixtures.
+    const char *fixtures[] = {
+        "",
+        "{",
+        "[1, 2]",
+        R"({"sweeps": [{"apps": "qft"}]})",
+        R"({"name": "x"})",
+        R"({"name": "x", "sweeps": []})",
+        R"({"name": "x", "sweeps": [{}]})",
+        R"({"name": "a b", "sweeps": [{"apps": "qft"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "nonesuch"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "gate": "XX"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "gate": "ZZ"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "widget": 1}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": 1.5}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": "big"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": [1e10]}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": 1}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "buffer": -1}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "options": {"point_timeout_ms": 1e12}}]})",
+        R"({"name": "x", "search": {"seed": -1}, "sweeps": [{"apps": "qft"}]})",
+        R"({"name": "x", "search": {"seed": 1e30}, "sweeps": [{"apps": "qft"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": []}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"bogus_knob": 1}}]})",
+        R"({"name": "x", "name": "y", "sweeps": [{"apps": "qft"}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft"}]} !)",
+        "{\n  \"name\": 7\n}",
+    };
+    for (const char *text : fixtures)
+        EXPECT_TRUE(agreesWithParser(text, "spec")) << text;
+}
+
+TEST(LintParserAgreement, BoundsEmptyAxisAndTheSpecWideCap)
+{
+    for (const char *grid : {R"("capacity": [1, 14])", R"("buffer": -1)",
+                             R"("capacity": [])"})
+        EXPECT_TRUE(agreesWithParser(
+            std::string(R"({"name": "x", "sweeps": [{"apps": "bv", )") +
+                grid + "}]}",
+            "spec"))
+            << grid;
+
+    // 1025 x 512 points: each grid is under the 2^20 cap, both are not.
+    std::ostringstream grid;
+    grid << R"({"apps": "bv", "capacity": [)";
+    for (int i = 0; i < 1025; ++i)
+        grid << (i ? "," : "") << 2 + i;
+    grid << R"(], "buffer": [)";
+    for (int i = 0; i < 512; ++i)
+        grid << (i ? "," : "") << i;
+    grid << "]}";
+    const std::string two = R"({"name": "x", "sweeps": [)" + grid.str() +
+                            ", " + grid.str() + "]}";
+    EXPECT_TRUE(agreesWithParser(two, "spec"));
+    ASSERT_TRUE(hasCode(lintSpec(two), "grid-too-large"));
+}
+
+TEST(LintParserAgreement, FuzzCorpus)
+{
+    // LintFuzz.MutatedSpecsNeverCrashTheLinter's corpus, same seed.
+    Rng rng(0x11177f00dULL);
+    for (int iter = 0; iter < 400; ++iter) {
+        std::string text = randomSpecText(rng);
+        mutate(text, rng);
+        EXPECT_TRUE(agreesWithParser(text, "fuzz"))
+            << "iteration " << iter << ":\n" << text;
+    }
+}
+
+TEST(LintParserAgreement, CommittedSpecs)
+{
+    const std::string sweeps =
+        std::string(QCCD_LINT_TEST_SOURCE_DIR) + "/examples/sweeps";
+    int specs = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(sweeps)) {
+        if (entry.path().extension() != ".sweep")
+            continue;
+        std::ifstream in(entry.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        EXPECT_TRUE(agreesWithParser(text.str(), entry.path().string(),
+                                     sweeps))
+            << entry.path();
+        ++specs;
+    }
+    EXPECT_GE(specs, 10);
 }
 
 TEST(LintFuzz, MutatedTopoAndGoldenNeverCrashTheLinter)

@@ -230,6 +230,13 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": []}]})",
         "must not be empty");
+    // Device bounds fail at parse time, not per point at run time.
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": [1, 14]}]})",
+        "spec:1:55: trap capacity must be at least 2, got 1");
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft", "buffer": -1}]})",
+        "spec:1:52: buffer slots must be non-negative, got -1");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "params": {"bogus_knob": 1}}]})",
