@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "benchgen/benchgen.hpp"
 #include "common/table.hpp"
 #include "core/sweep_engine.hpp"
 
@@ -23,7 +24,7 @@ main()
     std::vector<SweepJob> jobs;
     for (const char *app : {"qft", "qaoa", "supremacy", "squareroot",
                             "bv", "adder"}) {
-        const auto native = engine.nativeBenchmark(app);
+        const auto native = SweepEngine::lower(makeBenchmark(app));
         for (MappingPolicy policy : {MappingPolicy::Packed,
                                      MappingPolicy::Balanced}) {
             SweepJob job;

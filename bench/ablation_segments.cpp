@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "benchgen/benchgen.hpp"
 #include "common/table.hpp"
 #include "core/sweep_engine.hpp"
 
@@ -24,7 +25,7 @@ main()
     std::vector<SweepJob> jobs;
     const std::vector<int> segmentCounts{1, 2, 4, 8, 16};
     for (const char *app : {"qft", "bv"}) {
-        const auto native = engine.nativeBenchmark(app);
+        const auto native = SweepEngine::lower(makeBenchmark(app));
         for (int segments : segmentCounts) {
             SweepJob job;
             job.application = app;

@@ -97,8 +97,8 @@ BM_DecomposeQft(benchmark::State &state)
 }
 BENCHMARK(BM_DecomposeQft);
 
-/** The result store's circuit digest: what a warm rerun computes for
- *  every lowered circuit before it can look a point up. */
+/** The result store's digest of an already lowered circuit (a point
+ *  that carries its own native circuit, as --recommend's do). */
 void
 BM_CircuitDigest(benchmark::State &state, const char *app)
 {
@@ -110,6 +110,22 @@ BM_CircuitDigest(benchmark::State &state, const char *app)
 }
 BENCHMARK_CAPTURE(BM_CircuitDigest, qft, "qft");
 BENCHMARK_CAPTURE(BM_CircuitDigest, supremacy, "supremacy");
+
+/** The same digest folded from the source circuit, as a warm rerun
+ *  keys a point: BM_DecomposeQft plus BM_CircuitDigest/qft is the
+ *  lower-then-digest path it replaces. Items are native gates. */
+void
+BM_LoweredCircuitDigest(benchmark::State &state, const char *app)
+{
+    const Circuit source = makeBenchmark(app);
+    const size_t native = decomposeToNative(source).size();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            ResultStore::loweredCircuitDigest(source));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(native));
+}
+BENCHMARK_CAPTURE(BM_LoweredCircuitDigest, qft, "qft");
 
 void
 BM_ScheduleQft(benchmark::State &state)
@@ -295,7 +311,7 @@ BENCHMARK(BM_ParseIsa);
  * only 4 distinct schedule keys.
  */
 std::vector<SweepJob>
-sensitivityJobs(SweepEngine &engine)
+sensitivityJobs()
 {
     struct Knobs
     {
@@ -309,7 +325,7 @@ sensitivityJobs(SweepEngine &engine)
                            {10.0, 5e-5}};
     std::vector<SweepJob> jobs;
     for (const char *app : {"qft", "supremacy"}) {
-        const auto native = engine.nativeBenchmark(app);
+        const auto native = SweepEngine::lower(makeBenchmark(app));
         for (GateImpl gate : {GateImpl::FM, GateImpl::AM1}) {
             for (const Knobs &k : knobs) {
                 SweepJob job;
@@ -328,9 +344,9 @@ sensitivityJobs(SweepEngine &engine)
 /** Fig. 8's qft block: 4 gate implementations x 2 reorder methods x
  *  6 capacities of linear:6, 48 points with 48 schedule keys. */
 std::vector<SweepJob>
-fig8QftJobs(SweepEngine &engine)
+fig8QftJobs()
 {
-    const auto native = engine.nativeBenchmark("qft");
+    const auto native = SweepEngine::lower(makeBenchmark("qft"));
     std::vector<SweepJob> jobs;
     for (GateImpl gate :
          {GateImpl::AM1, GateImpl::AM2, GateImpl::FM, GateImpl::PM})
@@ -344,16 +360,17 @@ fig8QftJobs(SweepEngine &engine)
 
 void
 BM_SweepEngineBatch(benchmark::State &state,
-                    std::vector<SweepJob> (*make)(SweepEngine &))
+                    std::vector<SweepJob> (*make)())
 {
     // SweepEngine::run on one batch as a --sweep invocation runs it;
-    // Arg is the worker count. The engine keeps its lowered circuits
-    // and contexts across iterations (a warm-up run builds them), so
-    // an iteration times grouping, the worker pool and evaluation.
+    // Arg is the worker count. The jobs share their lowered circuits,
+    // and the engine keeps its contexts across iterations (a warm-up
+    // run builds them), so an iteration times grouping, the worker
+    // pool and evaluation.
     // Counters are per batch: model logs recorded, full schedules and
     // replays.
     SweepEngine engine(static_cast<int>(state.range(0)));
-    const std::vector<SweepJob> batch = make(engine);
+    const std::vector<SweepJob> batch = make();
     engine.run(batch);
     const StagedToolflow::Stats before = engine.deltaStats();
     for (auto _ : state) {
@@ -384,8 +401,7 @@ BM_SweepDelta(benchmark::State &state)
     // rest; the counters (exported to BENCH_SUMMARY.json by
     // scripts/run_benches.sh) pin the >= 2x fewer-full-schedules
     // acceptance target.
-    SweepEngine seed(1);
-    const std::vector<SweepJob> jobs = sensitivityJobs(seed);
+    const std::vector<SweepJob> jobs = sensitivityJobs();
 
     size_t points = 0;
     size_t full = 0;

@@ -8,6 +8,7 @@
 
 #include <iostream>
 
+#include "benchgen/benchgen.hpp"
 #include "circuit/stats.hpp"
 #include "common/table.hpp"
 #include "core/sweep_engine.hpp"
@@ -44,13 +45,11 @@ main()
     table.addRow({"Application", "Qubits", "2Q gates (native)",
                   "Pattern (derived)", "Paper qubits", "Paper 2Q",
                   "Paper pattern"});
-    // The engine's native-circuit cache does the generate + lower; the
-    // same cache backs the sweep benches, so Table II reports exactly
-    // the circuits the figure benches schedule.
-    SweepEngine engine(1);
+    // The same generate + lower as every sweep, so Table II reports
+    // exactly the circuits the figure specs schedule.
     for (const PaperRow &row : kPaper) {
-        const CircuitStats s =
-            computeStats(*engine.nativeBenchmark(row.name));
+        const CircuitStats s = computeStats(
+            *SweepEngine::lower(makeBenchmark(row.name)));
         table.addRow({row.name, std::to_string(s.numQubits),
                       std::to_string(s.twoQubitGates), s.patternLabel(),
                       std::to_string(row.qubits),

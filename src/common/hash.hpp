@@ -22,8 +22,10 @@
  *  - Fixed strings. s ^ b changes only s's low byte, and the low byte
  *    of s * P depends only on s's low byte, so folding a fixed n-byte
  *    string from s gives s * P^n + C[s & 0xFF], with C depending only
- *    on the string. i64(-1) — kInvalidId, the absent second operand
- *    of most gates — folds its 9-byte encoding that way; C is
+ *    on the string. A field whose value is known in advance — i64(-1)
+ *    (kInvalidId, the absent second operand of most gates), an op
+ *    code, a fixed rotation angle — folds its 9-byte encoding that
+ *    way through StableHash::fixed(); its FixedField table C is
  *    computed at compile time by folding that encoding byte by byte.
  *
  * Both are exact, so the digests equal the byte-serial ones bit for
@@ -105,18 +107,42 @@ inline constexpr std::array<uint64_t, 10> kPrimePowers = [] {
     return powers;
 }();
 
-/** C[low] for i64(-1)'s encoding (tag, then eight 0xFF bytes): the
- *  byte-serial fold from state `low`, minus low * P^9. */
-inline constexpr std::array<uint64_t, 256> kAbsentFold = [] {
-    std::array<uint64_t, 256> table{};
+/** A fixed field's C: C[low] is the byte-serial fold of the field's
+ *  9-byte encoding from state `low`, minus low * P^9. */
+using FixedField = std::array<uint64_t, 256>;
+
+/** The FixedField of the encoding @p tag, then the 8 little-endian
+ *  bytes of @p payload. */
+constexpr FixedField
+fixedField(unsigned char tag, uint64_t payload)
+{
+    FixedField table{};
     for (uint64_t low = 0; low < table.size(); ++low) {
-        uint64_t state = fnvFold(low, kTagI64);
+        uint64_t state = fnvFold(low, tag);
         for (int i = 0; i < 8; ++i)
-            state = fnvFold(state, 0xFF);
+            state = fnvFold(state,
+                            static_cast<unsigned char>(payload >> (8 * i)));
         table[low] = state - low * kPrimePowers[9];
     }
     return table;
-}();
+}
+
+/** The field i64(@p value) folds. */
+constexpr FixedField
+fixedI64(int64_t value)
+{
+    return fixedField(kTagI64, static_cast<uint64_t>(value));
+}
+
+/** The field f64(@p value) folds. */
+constexpr FixedField
+fixedF64(double value)
+{
+    return fixedField(kTagF64, std::bit_cast<uint64_t>(value));
+}
+
+/** i64(-1): the absent operand. */
+inline constexpr FixedField kAbsentField = fixedI64(-1);
 
 } // namespace hash_detail
 
@@ -145,8 +171,7 @@ class StableHash
     i64(int64_t value)
     {
         if (value == -1) {
-            absent(hi_);
-            absent(lo_);
+            fixed(hash_detail::kAbsentField);
             return;
         }
         word(hash_detail::kTagI64, static_cast<uint64_t>(value), 8);
@@ -163,6 +188,16 @@ class StableHash
     /** Length-prefixed, so field boundaries are unambiguous. */
     void str(const std::string &value);
     /** @} */
+
+    /** Fold the field @p field was built from (hash_detail::fixedI64
+     *  or fixedF64 of a value): the same state as the typed call, in
+     *  one multiply-add per lane. */
+    void
+    fixed(const hash_detail::FixedField &field)
+    {
+        hi_ = hi_ * hash_detail::kPrimePowers[9] + field[hi_ & 0xFF];
+        lo_ = lo_ * hash_detail::kPrimePowers[9] + field[lo_ & 0xFF];
+    }
 
     Digest128 digest() const { return {hi_, lo_}; }
 
@@ -185,14 +220,6 @@ class StableHash
             hash_detail::kPrimePowers[width - significant];
         hi_ *= zeros;
         lo_ *= zeros;
-    }
-
-    /** Fold i64(-1)'s fixed encoding into one lane. */
-    static void
-    absent(uint64_t &lane)
-    {
-        lane = lane * hash_detail::kPrimePowers[9] +
-               hash_detail::kAbsentFold[lane & 0xFF];
     }
 
     // Distinct seeds decorrelate the lanes: FNV-1a folds the seed

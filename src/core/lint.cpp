@@ -197,6 +197,11 @@ class SweepLinter
                 if (!rejected(item))
                     addFact(key, item, facts);
         }
+        if (grid.find("topology") == nullptr) {
+            // DesignPoint's default device applies grid-wide.
+            facts.topologies.push_back(
+                {DesignPoint{}.topologySpec, 0, &grid});
+        }
         checkFit(facts);
     }
 

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
+#include "core/circuit_digest.hpp"
 #include "core/export.hpp"
 
 namespace qccd
@@ -470,15 +471,18 @@ Digest128
 ResultStore::circuitDigest(const Circuit &circuit)
 {
     // Content only — the name is a label, not an input to the result.
-    StableHash hash;
-    hash.i64(circuit.numQubits());
-    for (const Gate &gate : circuit.gates()) {
-        hash.i64(static_cast<int64_t>(gate.op));
-        hash.i64(gate.q0);
-        hash.i64(gate.q1);
-        hash.f64(gate.param);
-    }
-    return hash.digest();
+    CircuitDigestSink sink(circuit.numQubits());
+    for (const Gate &gate : circuit.gates())
+        sink.add(gate);
+    return sink.digest();
+}
+
+Digest128
+ResultStore::loweredCircuitDigest(const Circuit &source)
+{
+    CircuitDigestSink sink(source.numQubits());
+    decomposeInto(source, sink);
+    return sink.digest();
 }
 
 std::string

@@ -187,6 +187,13 @@ class ResultStore
     static Digest128 circuitDigest(const Circuit &circuit);
 
     /**
+     * circuitDigest(decomposeToNative(@p source)), folded straight
+     * from the decomposition's gate stream: a point is keyed from its
+     * source circuit, and lowered only when it misses.
+     */
+    static Digest128 loweredCircuitDigest(const Circuit &source);
+
+    /**
      * Serialize @p key + @p result as a version-1 record payload
      * (exactly kPayloadSize bytes). Exposed for `--cache-verify`'s
      * bit-exact comparison and the tests' corruption campaigns.

@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "benchgen/benchgen.hpp"
 #include "circuit/decompose.hpp"
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
@@ -53,15 +52,6 @@ SweepEngine::lower(const Circuit &circuit)
 {
     QCCD_FAULT_POINT("engine.lower");
     return std::make_shared<const Circuit>(decomposeToNative(circuit));
-}
-
-std::shared_ptr<const Circuit>
-SweepEngine::nativeBenchmark(const std::string &app)
-{
-    auto it = circuits_.find(app);
-    if (it == circuits_.end())
-        it = circuits_.emplace(app, lower(makeBenchmark(app))).first;
-    return it->second;
 }
 
 std::shared_ptr<const ToolflowContext>

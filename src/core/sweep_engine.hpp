@@ -9,9 +9,9 @@
  * for dozens of points that share an architecture) and the machine's
  * cores. The engine eliminates both:
  *
- *  - a native-circuit cache lowers each application exactly once per
- *    sweep (decomposeToNative is deterministic, so the cached circuit
- *    is identical to a per-point lowering);
+ *  - jobs share their lowered circuit, which the caller lowers once
+ *    per application (SweepSpecRunner; decomposeToNative is
+ *    deterministic, so it is identical to a per-point lowering);
  *  - a ToolflowContext cache builds one Topology + PathFinder per
  *    distinct architecture (keyed by ToolflowContext::cacheKey);
  *  - a fixed-size std::jthread worker pool pulls spans of work off a
@@ -28,8 +28,8 @@
  *    counts depend on the batch and worker count alone. Every point's
  *    row is still bit-identical to a scalar runToolflow call.
  *
- * Both caches hold state that is immutable after construction, and the
- * caches themselves are populated before any worker starts, so workers
+ * Circuits and contexts are immutable after construction, and the
+ * context cache is populated before any worker starts, so workers
  * share everything without locks.
  */
 
@@ -53,7 +53,7 @@ struct SweepJob
     /** Label recorded in the resulting SweepPoint. */
     std::string application;
 
-    /** Lowered circuit (native gate set); see SweepEngine::nativeBenchmark. */
+    /** Lowered circuit (native gate set); see SweepEngine::lower. */
     std::shared_ptr<const Circuit> native;
 
     DesignPoint design;
@@ -87,12 +87,6 @@ class SweepEngine
 
     /** The resolved worker count (>= 1). */
     int jobs() const { return jobs_; }
-
-    /**
-     * The lowered circuit for Table II application @p app, cached per
-     * engine so a sweep lowers each application exactly once.
-     */
-    std::shared_ptr<const Circuit> nativeBenchmark(const std::string &app);
 
     /** Lower an arbitrary @p circuit into a shareable job input. */
     static std::shared_ptr<const Circuit> lower(const Circuit &circuit);
@@ -146,7 +140,6 @@ class SweepEngine
   private:
     int jobs_;
     StagedToolflow::Stats deltaStats_;
-    std::map<std::string, std::shared_ptr<const Circuit>> circuits_;
     std::map<ContextKey, std::shared_ptr<const ToolflowContext>> contexts_;
 };
 

@@ -662,21 +662,48 @@ SweepSpecRunner::SweepSpecRunner(SweepEngine &engine) : engine_(engine)
 {
 }
 
+SweepSpecRunner::AppCircuits &
+SweepSpecRunner::appFor(const PlannedPoint &point)
+{
+    const bool builtin = point.qasmPath.empty();
+    const std::string key =
+        builtin ? point.application : "qasm:" + point.qasmPath;
+    auto it = apps_.find(key);
+    if (it == apps_.end())
+        it = apps_
+                 .emplace(key, AppCircuits{
+                                   builtin ? makeBenchmark(point.application)
+                                           : qasm::parseFile(point.qasmPath),
+                                   std::nullopt, nullptr})
+                 .first;
+    return it->second;
+}
+
 std::shared_ptr<const Circuit>
 SweepSpecRunner::circuitFor(const PlannedPoint &point)
 {
     if (point.native != nullptr)
         return point.native;
-    if (point.qasmPath.empty())
-        return engine_.nativeBenchmark(point.application);
-    auto it = qasmCache_.find(point.qasmPath);
-    if (it == qasmCache_.end())
-        it = qasmCache_
-                 .emplace(point.qasmPath,
-                          SweepEngine::lower(
-                              qasm::parseFile(point.qasmPath)))
-                 .first;
-    return it->second;
+    AppCircuits &app = appFor(point);
+    if (app.native == nullptr)
+        app.native = SweepEngine::lower(app.source);
+    return app.native;
+}
+
+std::optional<Digest128>
+SweepSpecRunner::loweredDigestFor(const PlannedPoint &point)
+{
+    if (point.native != nullptr)
+        return circuitDigestFor(point.native);
+    AppCircuits *app = nullptr;
+    try {
+        app = &appFor(point);
+    } catch (...) {
+        return std::nullopt;
+    }
+    if (!app->loweredDigest)
+        app->loweredDigest = ResultStore::loweredCircuitDigest(app->source);
+    return app->loweredDigest;
 }
 
 Digest128
@@ -755,35 +782,22 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
         jobs.reserve(end - start);
         for (size_t i = start; i < end; ++i) {
             const PlannedPoint &point = points[i];
-            SweepJob job;
-            job.application = point.application;
-            job.design = point.design;
-            job.options = point.options;
-            if (policy.keepGoing) {
-                try {
-                    job.native = circuitFor(point);
-                } catch (...) {
-                    SweepPoint &failed = resolved[i - start];
-                    failed.application = point.application;
-                    failed.design = point.design;
-                    failed.outcome = classifyFailure(
-                        std::current_exception(), &failed.error);
-                    continue;
-                }
-            } else {
-                job.native = circuitFor(point);
-            }
-
             if (cache != nullptr) {
+                // Keyed from the source circuit: only a point that
+                // misses (or a hit under cacheVerify) is lowered below.
+                // A circuit that does not load is unkeyable, and
+                // circuitFor reports why.
                 CacheSlot &cs = cslot[i - start];
-                try {
-                    cs.key = ResultStore::keyFor(
-                        point.design, point.options,
-                        circuitDigestFor(job.native));
-                    cs.haveKey = true;
-                } catch (const QccdError &) {
-                    // Unkeyable (e.g. unreadable "topo:" file): run
-                    // it cold and let evaluation report the problem.
+                if (const std::optional<Digest128> circuit =
+                        loweredDigestFor(point)) {
+                    try {
+                        cs.key = ResultStore::keyFor(
+                            point.design, point.options, *circuit);
+                        cs.haveKey = true;
+                    } catch (const QccdError &) {
+                        // Unkeyable (e.g. unreadable "topo:" file):
+                        // run it cold and let evaluation report it.
+                    }
                 }
                 if (cs.haveKey) {
                     try {
@@ -806,6 +820,25 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
                         disableCache("lookup failed", err);
                     }
                 }
+            }
+
+            SweepJob job;
+            job.application = point.application;
+            job.design = point.design;
+            job.options = point.options;
+            if (policy.keepGoing) {
+                try {
+                    job.native = circuitFor(point);
+                } catch (...) {
+                    SweepPoint &failed = resolved[i - start];
+                    failed.application = point.application;
+                    failed.design = point.design;
+                    failed.outcome = classifyFailure(
+                        std::current_exception(), &failed.error);
+                    continue;
+                }
+            } else {
+                job.native = circuitFor(point);
             }
             slot[i - start] = jobs.size();
             jobs.push_back(std::move(job));

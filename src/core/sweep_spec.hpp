@@ -60,6 +60,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -324,11 +325,15 @@ struct SweepRunStats
 /**
  * Evaluates planned points through a SweepEngine, streaming results.
  *
- * Builtin applications are lowered once per engine (the engine's own
- * cache); QASM applications are parsed and lowered once per runner.
- * Points are evaluated in batches (each batch one engine.run call, so
- * a batch rides the worker pool) and emitted strictly in input order.
- * Results are bit-identical for any worker count and batch size.
+ * Each application a spec names is generated (builtin) or parsed
+ * (QASM) once per runner, and lowered once, on the first point that
+ * needs the lowered circuit. With a result store a point is keyed
+ * from its source circuit (ResultStore::loweredCircuitDigest), so only
+ * a miss or a `--cache-verify` hit lowers: a fully warm rerun lowers
+ * nothing. Points are evaluated in batches (each batch one engine.run
+ * call, so a batch rides the worker pool) and emitted strictly in
+ * input order. Results are bit-identical for any worker count and
+ * batch size.
  */
 class SweepSpecRunner
 {
@@ -365,13 +370,33 @@ class SweepSpecRunner
     /** Points handed to the engine per run() batch by default. */
     static constexpr size_t kDefaultBatchSize = 64;
 
-    /** Resolve a point's lowered circuit (builtin via the engine's
-     *  cache, QASM via this runner's; point.native wins when set).
-     *  Public so the search layer reuses the same caches for feature
-     *  extraction. */
+    /** Resolve a point's lowered circuit (point.native wins when
+     *  set). Public so the search layer reuses the same memo for
+     *  feature extraction.
+     *  @throws when the application's circuit does not load */
     std::shared_ptr<const Circuit> circuitFor(const PlannedPoint &point);
 
   private:
+    /** One spec-named application's circuits, each made on first
+     *  need: the source, its lowered digest (keys) and its lowered
+     *  circuit (evaluation). */
+    struct AppCircuits
+    {
+        Circuit source;
+        std::optional<Digest128> loweredDigest;
+        std::shared_ptr<const Circuit> native;
+    };
+
+    /** The memo entry of @p point's application (keyed by builtin
+     *  name or "qasm:" path), loading its source on first use.
+     *  @throws when the source does not load (nothing is memoized) */
+    AppCircuits &appFor(const PlannedPoint &point);
+
+    /** The digest of @p point's lowered circuit, lowering nothing;
+     *  nullopt when the circuit does not load (circuitFor reports
+     *  why). */
+    std::optional<Digest128> loweredDigestFor(const PlannedPoint &point);
+
     /** Content digest of @p native, memoized per circuit object. The
      *  memo holds every circuit it names, so no other circuit can take
      *  a memoized address while the runner lives. */
@@ -379,7 +404,7 @@ class SweepSpecRunner
     circuitDigestFor(const std::shared_ptr<const Circuit> &native);
 
     SweepEngine &engine_;
-    std::map<std::string, std::shared_ptr<const Circuit>> qasmCache_;
+    std::map<std::string, AppCircuits> apps_;
     std::map<std::shared_ptr<const Circuit>, Digest128> digestCache_;
 };
 

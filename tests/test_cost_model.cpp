@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "benchgen/benchgen.hpp"
 #include "circuit/stats.hpp"
 #include "core/cost_model.hpp"
 #include "core/sweep_engine.hpp"
@@ -33,8 +34,7 @@ featuresOf(const std::string &spec, int capacity)
 CircuitStats
 statsOf(const std::string &app)
 {
-    SweepEngine engine(1);
-    return computeStats(*engine.nativeBenchmark(app));
+    return computeStats(*SweepEngine::lower(makeBenchmark(app)));
 }
 
 // ---------------------------------------------------------------------
@@ -169,7 +169,7 @@ TEST(AnalyticModel, RanksAppsLikeTheSimulatorOnTheDefaultDevice)
           {"supremacy", &realSupremacy, &predSupremacy},
           {"qft", &realQft, &predQft}}) {
         const std::shared_ptr<const Circuit> native =
-            engine.nativeBenchmark(app);
+            SweepEngine::lower(makeBenchmark(app));
         *real = runToolflow(*native, design,
                             *engine.context(design), {})
                     .sim.logFidelity;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "benchgen/benchgen.hpp"
 #include "common/error.hpp"
 #include "core/export.hpp"
 #include "core/sweep_engine.hpp"
@@ -19,7 +20,7 @@ smallSweep()
 {
     // Paper-scale BV has 64 qubits; three traps of 26/30 fit it.
     SweepEngine engine;
-    const auto native = engine.nativeBenchmark("bv");
+    const auto native = SweepEngine::lower(makeBenchmark("bv"));
     return engine.run({{"bv", native, DesignPoint::linear(3, 26), {}},
                        {"bv", native, DesignPoint::linear(3, 30), {}}});
 }

@@ -5,13 +5,17 @@
  * multiply-add), so every fold is checked against a byte-at-a-time
  * FNV-1a reference written here from the published definition. The
  * reference shares no code with hash.{hpp,cpp}: its constants, tags
- * and byte order are restated, not included.
+ * and byte order are restated, not included. The fixed-field tables
+ * (common/hash.hpp, core/circuit_digest.hpp) and the store's circuit
+ * digests, lowered or folded straight from a source circuit, are
+ * checked against the same reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <numbers>
 #include <random>
@@ -21,7 +25,9 @@
 
 #include "benchgen/benchgen.hpp"
 #include "circuit/decompose.hpp"
+#include "circuit/qasm/parser.hpp"
 #include "common/hash.hpp"
+#include "core/circuit_digest.hpp"
 #include "core/result_store.hpp"
 
 namespace qccd
@@ -72,8 +78,21 @@ class ReferenceHash
     std::pair<uint64_t, uint64_t> lanes() const { return {hi_, lo_}; }
     uint64_t hiLane() const { return hi_; }
 
-  private:
+    /** One lane's fold of a 9-byte field (tag, 8 payload bytes) from
+     *  @p state. */
+    static uint64_t
+    laneField(uint64_t state, uint8_t tag, uint64_t payload)
+    {
+        state = (state ^ tag) * kPrime;
+        for (int i = 0; i < 8; ++i)
+            state = (state ^ static_cast<uint8_t>(payload >> (8 * i))) *
+                    kPrime;
+        return state;
+    }
+
     static constexpr uint64_t kPrime = 0x100000001b3ULL;
+
+  private:
     uint64_t hi_ = 0xcbf29ce484222325ULL;
     uint64_t lo_ = 0xcbf29ce484222325ULL ^ 0x9e3779b97f4a7c15ULL;
 };
@@ -260,22 +279,141 @@ TEST(StableHash, SeededTypedSequencesMatchTheReference)
                 << "type " << type << " bytes " << bytes;
 }
 
+/** The store's circuit digest of @p native, by the reference fold. */
+std::pair<uint64_t, uint64_t>
+referenceDigest(const Circuit &native)
+{
+    ReferenceHash ref;
+    ref.i64(native.numQubits());
+    for (const Gate &g : native.gates()) {
+        ref.i64(static_cast<int64_t>(g.op));
+        ref.i64(g.q0);
+        ref.i64(g.q1);
+        ref.f64(g.param);
+    }
+    return ref.lanes();
+}
+
+std::pair<uint64_t, uint64_t>
+lanesOf(const Digest128 &d)
+{
+    return {d.hi, d.lo};
+}
+
+/** Every fold a fixed field replaces: @p table applied to a state
+ *  whose low byte is each of 0..255, above random high bytes, must
+ *  equal the byte-serial fold of (tag, payload) from that state. */
+void
+expectFixedField(const hash_detail::FixedField &table, uint8_t tag,
+                 uint64_t payload, const std::string &what)
+{
+    uint64_t prime9 = 1;
+    for (int i = 0; i < 9; ++i)
+        prime9 *= ReferenceHash::kPrime;
+    std::mt19937_64 rng(payload ^ tag);
+    for (uint64_t low = 0; low < 256; ++low) {
+        for (int trial = 0; trial < 4; ++trial) {
+            const uint64_t state = (rng() & ~uint64_t{0xFF}) | low;
+            ASSERT_EQ(state * prime9 + table[low],
+                      ReferenceHash::laneField(state, tag, payload))
+                << what << " low byte " << low;
+        }
+    }
+}
+
+TEST(StableHash, FixedFieldsMatchTheReferenceFromEveryLowByte)
+{
+    expectFixedField(hash_detail::kAbsentField, 3, ~uint64_t{0},
+                     "absent operand");
+
+    // Op codes are declaration order, Barrier last.
+    ASSERT_EQ(digest_detail::kOpCount,
+              static_cast<size_t>(Op::Barrier) + 1);
+    for (size_t op = 0; op < digest_detail::kOpCount; ++op)
+        expectFixedField(digest_detail::kOpFields[op], 3, op,
+                         "op " + opName(static_cast<Op>(op)));
+
+    // The decomposition's three fixed angles, restated.
+    const double angles[] = {std::numbers::pi / 2, -std::numbers::pi / 2,
+                             std::numbers::pi / 4};
+    ASSERT_EQ(digest_detail::kTabledAngles.size(), std::size(angles));
+    for (size_t i = 0; i < std::size(angles); ++i) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &angles[i], sizeof bits);
+        uint64_t tabled = 0;
+        std::memcpy(&tabled, &digest_detail::kTabledAngles[i],
+                    sizeof tabled);
+        ASSERT_EQ(tabled, bits) << "angle " << i;
+        expectFixedField(digest_detail::kAngleFields[i], 4, bits,
+                         "angle " + std::to_string(angles[i]));
+    }
+}
+
 TEST(StableHash, EveryBuiltinNativeDigestMatchesTheReference)
 {
     for (const BenchmarkSpec &spec : benchmarkList()) {
-        const Circuit native =
-            decomposeToNative(makeBenchmark(spec.name));
-        ReferenceHash ref;
-        ref.i64(native.numQubits());
-        for (const Gate &g : native.gates()) {
-            ref.i64(static_cast<int64_t>(g.op));
-            ref.i64(g.q0);
-            ref.i64(g.q1);
-            ref.f64(g.param);
-        }
-        const Digest128 d = ResultStore::circuitDigest(native);
-        EXPECT_EQ(std::make_pair(d.hi, d.lo), ref.lanes()) << spec.name;
+        const Circuit source = makeBenchmark(spec.name);
+        const Circuit native = decomposeToNative(source);
+        EXPECT_EQ(lanesOf(ResultStore::circuitDigest(native)),
+                  referenceDigest(native))
+            << spec.name;
+        EXPECT_EQ(lanesOf(ResultStore::loweredCircuitDigest(source)),
+                  referenceDigest(native))
+            << spec.name;
     }
+}
+
+TEST(StableHash, ExampleQasmLoweredDigestsMatchTheReference)
+{
+    for (const char *file : {"bell.qasm", "qft8.qasm"}) {
+        const Circuit source = qasm::parseFile(
+            std::string(QCCD_HASH_TEST_SOURCE_DIR) + "/examples/circuits/" +
+            file);
+        EXPECT_EQ(lanesOf(ResultStore::loweredCircuitDigest(source)),
+                  referenceDigest(decomposeToNative(source)))
+            << file;
+    }
+}
+
+/** Random circuits over every op, with tabled and untabled angles and
+ *  operands above 255: the source-side digest must equal the
+ *  reference fold over the lowered circuit. */
+TEST(StableHash, SeededRandomLoweredDigestsMatchTheReference)
+{
+    std::mt19937_64 rng(20200530);
+    const double pi = std::numbers::pi;
+    // CPhase(pi) and CPhase(-pi) emit tabled +-pi/2 rotations; the
+    // rest, and 0 and -0, fold byte by byte.
+    const double angles[] = {pi / 2, -pi / 2, pi / 4, pi, -pi, pi / 8,
+                             0.0, -0.0, 0.3, -1.7e-3};
+    std::set<Op> seen;
+    for (int seq = 0; seq < 40; ++seq) {
+        const int qubits = 2 + static_cast<int>(rng() % 600);
+        Circuit source(qubits, "random");
+        const int length = 1 + static_cast<int>(rng() % 300);
+        for (int i = 0; i < length; ++i) {
+            const auto op = static_cast<Op>(rng() % digest_detail::kOpCount);
+            const auto q0 = static_cast<QubitId>(rng() % qubits);
+            auto q1 = static_cast<QubitId>(rng() % (qubits - 1));
+            if (q1 >= q0)
+                ++q1;
+            const double angle = angles[rng() % std::size(angles)];
+            if (op == Op::Barrier)
+                source.add(Gate{});
+            else if (op == Op::Measure)
+                source.measure(q0);
+            else if (isTwoQubit(op))
+                source.add(Gate::two(op, q0, q1,
+                                     opHasParam(op) ? angle : 0));
+            else
+                source.add(Gate::one(op, q0, opHasParam(op) ? angle : 0));
+            seen.insert(op);
+        }
+        ASSERT_EQ(lanesOf(ResultStore::loweredCircuitDigest(source)),
+                  referenceDigest(decomposeToNative(source)))
+            << "circuit " << seq;
+    }
+    EXPECT_EQ(seen.size(), digest_detail::kOpCount);
 }
 
 } // namespace

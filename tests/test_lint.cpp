@@ -226,6 +226,19 @@ TEST(LintSweep, FitAnalysisAgainstDeviceCapacity)
               LintSeverity::Warning);
     EXPECT_EQ(report.errorCount(), 1u) << report.toString();
 
+    // A grid that names no topology runs on the default linear:6,
+    // which holds 24 ions at capacity 4: the same error.
+    const LintReport fallback = lintSpec(
+        "{\"name\": \"x\", \"sweeps\": ["
+        "{\"apps\": \"qft\", \"capacity\": 4}]}");
+    ASSERT_TRUE(hasCode(fallback, "app-does-not-fit"))
+        << fallback.toString();
+    EXPECT_NE(diag(fallback, "app-does-not-fit")
+                  ->message.find("'linear:6' at capacity 4"),
+              std::string::npos)
+        << fallback.toString();
+    EXPECT_EQ(fallback.errorCount(), 1u) << fallback.toString();
+
     // The buffer is the least a grid runs with, "params" included: at
     // 0 buffer slots the same device holds qft with nothing to shrink.
     for (const char *params : {"{\"buffer_slots\": 0}",

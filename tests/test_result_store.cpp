@@ -671,10 +671,18 @@ TEST_F(CachedRunnerTest, WarmRunEmitsByteIdenticalRowsWithoutWork)
     }
     ResultStore store(path);
     EXPECT_EQ(store.stats().loaded, 3u);
+    // Every point is keyed from its source circuit, so a warm run
+    // lowers nothing: an armed lowering fault never fires.
+    setFaultInjectSpec("engine.lower=1");
     SweepRunStats warm;
     EXPECT_EQ(runRows(&store, false, &warm), reference);
     EXPECT_EQ(warm.cacheHits, 3u);
+    EXPECT_EQ(warm.failed, 0u);
     EXPECT_EQ(store.stats().inserts, 0u);
+
+    // Verify mode recomputes its hits, so it lowers and trips it.
+    setFaultInjectSpec("engine.lower=1");
+    EXPECT_THROW(runRows(&store, true, nullptr), InternalError);
 }
 
 TEST_F(CachedRunnerTest, CacheFaultsDegradeToAColdRunNotAFailure)

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "benchgen/benchgen.hpp"
-#include "circuit/decompose.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/sweep_engine.hpp"
@@ -175,16 +174,6 @@ TEST(SweepEngine, ContextsAreSharedPerArchitecture)
 
     const DesignPoint other = DesignPoint::linear(6, 14);
     EXPECT_NE(engine.context(fm).get(), engine.context(other).get());
-}
-
-TEST(SweepEngine, NativeBenchmarkIsLoweredOncePerApp)
-{
-    SweepEngine engine(1);
-    const auto first = engine.nativeBenchmark("bv");
-    const auto second = engine.nativeBenchmark("bv");
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(first->size(),
-              decomposeToNative(makeBenchmark("bv")).size());
 }
 
 TEST(SweepEngine, ResolveJobsPrefersExplicitThenEnvThenHardware)

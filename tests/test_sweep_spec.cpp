@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "benchgen/benchgen.hpp"
+#include "circuit/decompose.hpp"
 #include "circuit/qasm/parser.hpp"
 #include "circuit/qasm/writer.hpp"
 #include "common/error.hpp"
@@ -609,8 +610,8 @@ TEST_F(SweepSpecDifferential, EngineMatchesDirectAndShardsCompose)
 
 TEST_F(SweepSpecDifferential, BuiltinAppsMatchDirectToo)
 {
-    // One grid over a paper-scale builtin exercises the engine's
-    // nativeBenchmark cache against direct in-place lowering.
+    // One grid over a paper-scale builtin exercises the runner's
+    // per-application lowering against direct in-place lowering.
     const SweepSpec spec = parseSweepSpec(R"({
         "name": "builtin",
         "sweeps": [{
@@ -633,6 +634,20 @@ TEST_F(SweepSpecDifferential, BuiltinAppsMatchDirectToo)
     for (size_t i = 0; i < direct.size(); ++i)
         expectBitIdentical(engine[i], direct[i],
                            "builtin point " + std::to_string(i));
+}
+
+TEST(SweepSpecRunner, LowersEachApplicationOnce)
+{
+    SweepEngine engine(1);
+    SweepSpecRunner runner(engine);
+    PlannedPoint point;
+    point.application = "bv";
+    const auto first = runner.circuitFor(point);
+    point.design.trapCapacity = 14;
+    const auto second = runner.circuitFor(point);
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(first->size(),
+              decomposeToNative(makeBenchmark("bv")).size());
 }
 
 TEST_F(SweepSpecDifferential, ResumeSkipEmitsTheSuffix)
