@@ -2,12 +2,15 @@
  * @file
  * google-benchmark microbenchmarks: throughput of the physical models,
  * the OpenQASM parser, workload generation, lowering, the result
- * store's circuit digest, and the full compile + simulate toolflow.
+ * store's circuit digest, a warm store open, export row formatting,
+ * and the full compile + simulate toolflow.
  * These verify the simulator itself is fast enough for large
  * design-space sweeps (hundreds of runs per figure).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
 
 #include "arch/builders.hpp"
 #include "arch/path.hpp"
@@ -16,6 +19,7 @@
 #include "circuit/qasm/parser.hpp"
 #include "circuit/qasm/writer.hpp"
 #include "compiler/scheduler.hpp"
+#include "core/export.hpp"
 #include "core/result_store.hpp"
 #include "core/sweep_engine.hpp"
 #include "core/toolflow.hpp"
@@ -126,6 +130,51 @@ BM_LoweredCircuitDigest(benchmark::State &state, const char *app)
                             static_cast<int64_t>(native));
 }
 BENCHMARK_CAPTURE(BM_LoweredCircuitDigest, qft, "qft");
+
+/** Opening a warm store: lock, one read, the in-place scan with its
+ *  checksums, the key index, the append handle, and the unlock. 446
+ *  records is what a cold --cache pass over every committed spec
+ *  leaves. */
+void
+BM_StoreOpen(benchmark::State &state)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "qccd_bm_store_open.qcache")
+            .string();
+    const auto removeStore = [&path] {
+        std::filesystem::remove(path);
+        std::filesystem::remove(path + ".lock");
+    };
+    removeStore();
+    const RunResult result =
+        runToolflow(decomposeToNative(makeBenchmark("bv")),
+                    DesignPoint::linear(6, 22));
+    {
+        ResultStore store(path);
+        for (uint64_t i = 0; i < 446; ++i)
+            store.insert(Digest128{i * 0x9e3779b97f4a7c15ULL, ~i}, result);
+    }
+    for (auto _ : state) {
+        const ResultStore store(path);
+        benchmark::DoNotOptimize(store.entries());
+    }
+    removeStore();
+}
+BENCHMARK(BM_StoreOpen)->Unit(benchmark::kMicrosecond);
+
+/** One export row of a real point (a fig8 row holds the same fields). */
+void
+BM_SweepCsvRow(benchmark::State &state)
+{
+    SweepPoint point;
+    point.application = "qft";
+    point.design = DesignPoint::linear(6, 22);
+    point.result = runToolflow(decomposeToNative(makeBenchmark("qft")),
+                               point.design);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sweepCsvRow(point));
+}
+BENCHMARK(BM_SweepCsvRow);
 
 void
 BM_ScheduleQft(benchmark::State &state)

@@ -1,9 +1,11 @@
 #include "core/export.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
@@ -60,6 +62,54 @@ makeRow(const SweepPoint &p)
     return row;
 }
 
+/**
+ * One export row under construction. It streams like an ostringstream
+ * with precision(12) and formats every number with std::to_chars:
+ * doubles as chars_format::general at precision 12, which is the
+ * stream's (and printf's) %.12g, integers in decimal. No locale, no
+ * stream state, one growing string.
+ */
+class RowText
+{
+  public:
+    RowText() { text_.reserve(256); }
+
+    RowText &operator<<(std::string_view text)
+    {
+        text_ += text;
+        return *this;
+    }
+    RowText &operator<<(char c)
+    {
+        text_ += c;
+        return *this;
+    }
+    RowText &operator<<(double value)
+    {
+        return number(value, std::chars_format::general, 12);
+    }
+    RowText &operator<<(long value) { return number(value); }
+    RowText &operator<<(int value) { return number(value); }
+
+    std::string str() && { return std::move(text_); }
+
+  private:
+    template <typename... Format>
+    RowText &number(Format... format)
+    {
+        // %.12g needs at most 19 bytes ("-1.23456789012e-308"), a long 20.
+        char buf[32] = {};
+        const std::to_chars_result converted =
+            std::to_chars(buf, buf + sizeof buf, format...);
+        panicUnless(converted.ec == std::errc{},
+                    "export number overflowed its buffer");
+        text_.append(buf, converted.ptr);
+        return *this;
+    }
+
+    std::string text_;
+};
+
 /** JSON string escape: application labels and topology specs can carry
  *  arbitrary user text (e.g. a QASM file stem with a quote in it). */
 std::string
@@ -112,23 +162,21 @@ std::string
 sweepCsvRow(const SweepPoint &point)
 {
     const Row r = makeRow(point);
-    std::ostringstream out;
-    out.precision(12);
+    RowText out;
     out << r.application << ',' << r.topology << ',' << r.capacity << ','
         << r.gate << ',' << r.reorder << ',' << r.timeS << ','
         << r.computeS << ',' << r.commS << ',' << r.fidelity << ','
         << r.logFidelity << ',' << r.maxEnergy << ',' << r.msGates << ','
         << r.reorderMs << ',' << r.shuttles << ',' << r.splits << ','
         << r.merges << ',' << r.evictions;
-    return out.str();
+    return std::move(out).str();
 }
 
 std::string
 sweepJsonRow(const SweepPoint &point)
 {
     const Row r = makeRow(point);
-    std::ostringstream out;
-    out.precision(12);
+    RowText out;
     out << "{\"application\": \"" << jsonEscape(r.application)
         << "\", \"topology\": \"" << jsonEscape(r.topology)
         << "\", \"capacity\": " << r.capacity << ", \"gate\": \""
@@ -142,7 +190,7 @@ sweepJsonRow(const SweepPoint &point)
         << r.reorderMs << ", \"shuttles\": " << r.shuttles
         << ", \"splits\": " << r.splits << ", \"merges\": "
         << r.merges << ", \"evictions\": " << r.evictions << "}";
-    return out.str();
+    return std::move(out).str();
 }
 
 std::string

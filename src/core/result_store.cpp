@@ -1,13 +1,15 @@
 #include "core/result_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <csignal>
 #include <fstream>
-#include <sstream>
+#include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -49,37 +51,30 @@ putF64(std::string &out, double value)
 }
 /** @} */
 
+/** Little-endian integer at @p at of @p bytes (bounds checked by the
+ *  caller). */
+template <typename T>
+T
+loadLe(std::string_view bytes, size_t at)
+{
+    T value = 0;
+    for (size_t i = 0; i < sizeof(T); ++i)
+        value |= static_cast<T>(static_cast<unsigned char>(bytes[at + i]))
+                 << (8 * i);
+    return value;
+}
+
 /** Bounds-checked little-endian reader over payload bytes. */
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
+    explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
 
     bool ok() const { return ok_; }
     bool done() const { return ok_ && pos_ == bytes_.size(); }
 
-    uint32_t u32()
-    {
-        uint32_t value = 0;
-        if (!take(4))
-            return 0;
-        for (int i = 0; i < 4; ++i)
-            value |= static_cast<uint32_t>(byteAt(pos_ - 4 + i))
-                     << (8 * i);
-        return value;
-    }
-
-    uint64_t u64()
-    {
-        uint64_t value = 0;
-        if (!take(8))
-            return 0;
-        for (int i = 0; i < 8; ++i)
-            value |= static_cast<uint64_t>(byteAt(pos_ - 8 + i))
-                     << (8 * i);
-        return value;
-    }
-
+    uint32_t u32() { return take(4) ? loadLe<uint32_t>(bytes_, pos_ - 4) : 0; }
+    uint64_t u64() { return take(8) ? loadLe<uint64_t>(bytes_, pos_ - 8) : 0; }
     int64_t i64() { return static_cast<int64_t>(u64()); }
     double f64() { return std::bit_cast<double>(u64()); }
     int32_t i32() { return static_cast<int32_t>(u32()); }
@@ -95,34 +90,70 @@ class ByteReader
         return true;
     }
 
-    unsigned char byteAt(size_t i) const
-    {
-        return static_cast<unsigned char>(bytes_[i]);
-    }
-
-    const std::string &bytes_;
+    std::string_view bytes_;
     size_t pos_ = 0;
     bool ok_ = true;
 };
 
-/** Read a whole file as raw bytes; false when it does not exist. */
-bool
-readFileBytes(const std::string &path, std::string *out)
+/** How readRegularFile() ended. */
+enum class ReadStatus
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open())
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad())
-        throw ConfigError("error reading result cache '" + path + "'");
-    *out = buffer.str();
-    return true;
+    Ok,
+    Missing,    ///< the path does not exist (ENOENT)
+    NotRegular, ///< a directory, device, FIFO, ...
+    Failed      ///< any other open, fstat or read error
+};
+
+/**
+ * Read the whole of regular file @p path into @p out with one open, one
+ * fstat and one read into a buffer sized once. A file that shrinks
+ * under the read yields the bytes that remain; one that grows yields
+ * the bytes fstat saw.
+ */
+ReadStatus
+readRegularFile(const std::string &path, std::string *out)
+{
+    // O_NONBLOCK: a FIFO swapped in after a caller's stat must not
+    // block the open; it has no effect on a regular file.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (fd < 0)
+        return errno == ENOENT ? ReadStatus::Missing : ReadStatus::Failed;
+    ReadStatus status = ReadStatus::Ok;
+    struct stat info {};
+    if (::fstat(fd, &info) != 0) {
+        status = ReadStatus::Failed;
+    } else if (!S_ISREG(info.st_mode)) {
+        status = ReadStatus::NotRegular;
+    } else {
+        out->resize(static_cast<size_t>(info.st_size));
+        size_t got = 0;
+        while (got < out->size()) {
+            const ssize_t n =
+                ::read(fd, out->data() + got, out->size() - got);
+            if (n > 0)
+                got += static_cast<size_t>(n);
+            else if (n == 0)
+                break;
+            else if (errno != EINTR) {
+                status = ReadStatus::Failed;
+                break;
+            }
+        }
+        out->resize(got);
+    }
+    ::close(fd);
+    return status;
+}
+
+[[noreturn]] void
+throwNotRegular(const std::string &path)
+{
+    throw ConfigError("result cache '" + path + "' is not a regular file");
 }
 
 /** First bytes of a corrupt region as hex, for the quarantine line. */
 std::string
-hexPrefix(const std::string &bytes, size_t offset, size_t length)
+hexPrefix(std::string_view bytes, size_t offset, size_t length)
 {
     static const char digits[] = "0123456789abcdef";
     const size_t n = std::min<size_t>(length, 16);
@@ -136,6 +167,29 @@ hexPrefix(const std::string &bytes, size_t offset, size_t length)
 }
 
 constexpr size_t kFrameOverhead = 12; // u32 length + u64 checksum
+constexpr size_t kFrameSize = kFrameOverhead + ResultStore::kPayloadSize;
+
+/** Records whose checksums one pass of fnv1a64Lanes() folds. */
+constexpr size_t kChecksumLanes = 4;
+
+/**
+ * fnv1a64 of kChecksumLanes payloads of kPayloadSize bytes each,
+ * folded in lockstep. Each chain is a run of dependent multiplies;
+ * interleaving independent chains overlaps them. Every value equals
+ * the serial fnv1a64 of its payload.
+ */
+std::array<uint64_t, kChecksumLanes>
+fnv1a64Lanes(const std::array<const char *, kChecksumLanes> &payloads)
+{
+    std::array<uint64_t, kChecksumLanes> state;
+    state.fill(kFnvOffsetBasis);
+    for (size_t i = 0; i < ResultStore::kPayloadSize; ++i)
+        for (size_t lane = 0; lane < kChecksumLanes; ++lane)
+            state[lane] = hash_detail::fnvFold(
+                state[lane],
+                static_cast<unsigned char>(payloads[lane][i]));
+    return state;
+}
 
 } // namespace
 
@@ -157,86 +211,93 @@ ResultStore::freshHeader()
 }
 
 ResultStoreScan
-scanResultStore(const std::string &bytes)
+scanResultStore(std::string_view bytes)
 {
     ResultStoreScan scan;
     scan.tornTailOffset = bytes.size();
 
     const std::string header = ResultStore::freshHeader();
+    const std::string_view magic(ResultStore::magic(),
+                                 ResultStore::kMagicSize);
     if (bytes.size() < ResultStore::kHeaderSize) {
         // A file shorter than the header is healable only when it is
         // a prefix of a legitimate creation (torn first write);
         // anything else is some other file handed to us by mistake.
-        scan.headerTorn =
-            bytes == header.substr(0, bytes.size()) ||
-            (bytes.size() >= ResultStore::kMagicSize &&
-             bytes.compare(0, ResultStore::kMagicSize,
-                           ResultStore::magic()) == 0);
+        scan.headerTorn = header.starts_with(bytes) ||
+                          bytes.starts_with(magic);
         scan.magicOk = bytes.size() >= ResultStore::kMagicSize &&
                        scan.headerTorn;
         return scan;
     }
 
-    scan.magicOk = bytes.compare(0, ResultStore::kMagicSize,
-                                 ResultStore::magic()) == 0;
+    scan.magicOk = bytes.starts_with(magic);
     if (!scan.magicOk)
         return scan;
-    for (int i = 0; i < 4; ++i)
-        scan.version |= static_cast<uint32_t>(static_cast<unsigned char>(
-                            bytes[ResultStore::kMagicSize + i]))
-                        << (8 * i);
+    scan.version = loadLe<uint32_t>(bytes, ResultStore::kMagicSize);
     scan.versionOk = scan.version == ResultStore::kSchemaVersion;
     if (!scan.versionOk)
         return scan; // foreign layout: nothing else is knowable
 
-    size_t offset = ResultStore::kHeaderSize;
-    while (offset < bytes.size()) {
+    // Frame: every version-1 record has the same size, so the whole
+    // records are the first `framed` frames after the header.
+    size_t framed = 0;
+    std::optional<ResultStoreDefect> frame_defect;
+    for (size_t offset = ResultStore::kHeaderSize; offset < bytes.size();
+         offset += kFrameSize, ++framed) {
         const size_t remaining = bytes.size() - offset;
         if (remaining < kFrameOverhead) {
             scan.truncatedTail = true;
             scan.tornTailOffset = offset;
-            return scan;
+            break;
         }
-        uint32_t length = 0;
-        for (int i = 0; i < 4; ++i)
-            length |= static_cast<uint32_t>(static_cast<unsigned char>(
-                          bytes[offset + i]))
-                      << (8 * i);
-        if (length != ResultStore::kPayloadSize) {
+        if (loadLe<uint32_t>(bytes, offset) != ResultStore::kPayloadSize) {
             // Impossible framing: record boundaries downstream are
             // unknowable, so the whole rest of the file is one defect.
-            scan.defects.push_back(
-                {offset, remaining, "frame"});
+            frame_defect = ResultStoreDefect{offset, remaining, "frame"};
             scan.tornTailOffset = offset;
-            return scan;
+            break;
         }
-        if (remaining < kFrameOverhead + length) {
+        if (remaining < kFrameSize) {
             scan.truncatedTail = true;
             scan.tornTailOffset = offset;
-            return scan;
+            break;
         }
-        uint64_t checksum = 0;
-        for (int i = 0; i < 8; ++i)
-            checksum |= static_cast<uint64_t>(static_cast<unsigned char>(
-                            bytes[offset + 4 + i]))
-                        << (8 * i);
-        std::string payload =
-            bytes.substr(offset + kFrameOverhead, length);
-        if (fnv1a64(payload.data(), payload.size()) != checksum) {
-            scan.defects.push_back(
-                {offset, kFrameOverhead + length, "checksum"});
-            offset += kFrameOverhead + length;
-            continue;
-        }
-        ScannedResultRecord record;
-        record.offset = offset;
-        ByteReader reader(payload);
-        record.key.hi = reader.u64();
-        record.key.lo = reader.u64();
-        record.payload = std::move(payload);
-        scan.records.push_back(std::move(record));
-        offset += kFrameOverhead + length;
     }
+
+    // Verify in place, kChecksumLanes records per fold, in file order.
+    scan.records.reserve(framed);
+    const auto verdict = [&](size_t index, uint64_t sum) {
+        const size_t offset = ResultStore::kHeaderSize + index * kFrameSize;
+        if (sum != loadLe<uint64_t>(bytes, offset + 4)) {
+            scan.defects.push_back({offset, kFrameSize, "checksum"});
+            return;
+        }
+        const std::string_view payload =
+            bytes.substr(offset + kFrameOverhead, ResultStore::kPayloadSize);
+        scan.records.push_back(
+            {offset,
+             Digest128{loadLe<uint64_t>(payload, 0),
+                       loadLe<uint64_t>(payload, 8)},
+             payload});
+    };
+    const auto payloadAt = [&](size_t index) {
+        return bytes.data() + ResultStore::kHeaderSize + index * kFrameSize +
+               kFrameOverhead;
+    };
+    size_t index = 0;
+    for (; index + kChecksumLanes <= framed; index += kChecksumLanes) {
+        std::array<const char *, kChecksumLanes> payloads;
+        for (size_t lane = 0; lane < kChecksumLanes; ++lane)
+            payloads[lane] = payloadAt(index + lane);
+        const std::array<uint64_t, kChecksumLanes> sums =
+            fnv1a64Lanes(payloads);
+        for (size_t lane = 0; lane < kChecksumLanes; ++lane)
+            verdict(index + lane, sums[lane]);
+    }
+    for (; index < framed; ++index)
+        verdict(index, fnv1a64(payloadAt(index), ResultStore::kPayloadSize));
+    if (frame_defect.has_value())
+        scan.defects.push_back(std::move(*frame_defect));
     return scan;
 }
 
@@ -244,6 +305,13 @@ ResultStore::ResultStore(const std::string &path)
     : path_(path), lockPath_(path + ".lock")
 {
     QCCD_FAULT_POINT("cache.open");
+    // Refused before the lock is taken, so a refusal leaves nothing
+    // behind. Only a regular file can be healed by rename; "healing" a
+    // directory or a device would replace it. The read after the lock
+    // checks again, on the file it reads.
+    struct stat info {};
+    if (::stat(path_.c_str(), &info) == 0 && !S_ISREG(info.st_mode))
+        throwNotRegular(path_);
     acquireLock();
     try {
         recoverAndLoad();
@@ -320,16 +388,23 @@ ResultStore::releaseLock()
 void
 ResultStore::recoverAndLoad()
 {
-    std::string bytes;
-    if (!readFileBytes(path_, &bytes)) {
+    // Read after the lock: a concurrent healer renames a new file over
+    // the path, so bytes opened before the lock could be stale.
+    const ReadStatus status = readRegularFile(path_, &bytes_);
+    if (status == ReadStatus::NotRegular)
+        throwNotRegular(path_);
+    if (status == ReadStatus::Failed)
+        throw ConfigError("error reading result cache '" + path_ + "'");
+    if (status == ReadStatus::Missing) {
+        bytes_ = freshHeader();
         std::ofstream create(path_,
                              std::ios::binary | std::ios::trunc);
-        create << freshHeader();
+        create << bytes_;
         create.flush();
         if (!create.good())
             throw ConfigError("cannot create result cache '" + path_ + "'");
     } else {
-        const ResultStoreScan scan = scanResultStore(bytes);
+        const ResultStoreScan scan = scanResultStore(bytes_);
         if (!scan.magicOk && !scan.headerTorn)
             throw ConfigError("'" + path_ +
                               "' is not a qccd result cache (bad magic)");
@@ -342,13 +417,9 @@ ResultStore::recoverAndLoad()
                 " — point --cache at a fresh file (or delete this "
                 "one) to recompute");
 
-        for (const ScannedResultRecord &record : scan.records) {
-            RunResult result;
-            Digest128 key;
-            if (!decodeRecordPayload(record.payload, &key, &result))
-                continue; // unreachable for version-1 payloads
-            index_.insert_or_assign(key, result);
-        }
+        index_.reserve(scan.records.size());
+        for (const ScannedResultRecord &record : scan.records)
+            index_.assign(record.key, record.offset + kFrameOverhead);
         stats_.loaded = scan.records.size();
         stats_.quarantined = scan.defects.size();
         stats_.healedTail = scan.tornTail();
@@ -365,7 +436,7 @@ ResultStore::recoverAndLoad()
                         << "offset=" << defect.offset
                         << " length=" << defect.length
                         << " reason=" << defect.reason << " hex="
-                        << hexPrefix(bytes, defect.offset,
+                        << hexPrefix(bytes_, defect.offset,
                                      defect.length)
                         << "\n";
                 quarantine.flush();
@@ -373,14 +444,13 @@ ResultStore::recoverAndLoad()
                     throw ConfigError("cannot write quarantine sidecar '" +
                                       path_ + ".quarantine'");
             }
+            // An intact record's frame is its length, its verified
+            // checksum and its payload: copied as it stands.
             std::string compacted = freshHeader();
-            for (const ScannedResultRecord &record : scan.records) {
-                putU32(compacted, static_cast<uint32_t>(
-                                      record.payload.size()));
-                putU64(compacted, fnv1a64(record.payload.data(),
-                                          record.payload.size()));
-                compacted += record.payload;
-            }
+            compacted.reserve(kHeaderSize +
+                              scan.records.size() * kFrameSize);
+            for (const ScannedResultRecord &record : scan.records)
+                compacted.append(bytes_, record.offset, kFrameSize);
             replaceTextFileAtomic(compacted, path_);
         }
     }
@@ -395,24 +465,29 @@ std::optional<RunResult>
 ResultStore::lookup(const Digest128 &key)
 {
     QCCD_FAULT_POINT("cache.lookup");
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
+    const size_t at = index_.find(key);
+    if (at == RecordIndex::npos) {
         ++stats_.misses;
         return std::nullopt;
     }
     ++stats_.hits;
-    return it->second;
+    Digest128 stored;
+    RunResult result;
+    const bool decoded = decodeRecordPayload(
+        std::string_view(bytes_).substr(at, kPayloadSize), &stored, &result);
+    panicUnless(decoded, "an indexed result record does not decode");
+    return result;
 }
 
 void
 ResultStore::insert(const Digest128 &key, const RunResult &result)
 {
     QCCD_FAULT_POINT("cache.append");
-    if (index_.find(key) != index_.end())
+    if (index_.find(key) != RecordIndex::npos)
         return; // replays (resume re-hits) must not grow the file
     const std::string payload = encodeRecordPayload(key, result);
     std::string frame;
-    frame.reserve(kFrameOverhead + payload.size());
+    frame.reserve(kFrameSize);
     putU32(frame, static_cast<uint32_t>(payload.size()));
     putU64(frame, fnv1a64(payload.data(), payload.size()));
     frame += payload;
@@ -422,8 +497,64 @@ ResultStore::insert(const Digest128 &key, const RunResult &result)
     out_.flush();
     if (!out_.good())
         throw ConfigError("cannot append to result cache '" + path_ + "'");
-    index_.emplace(key, result);
+    index_.assign(key, bytes_.size() + kFrameOverhead);
+    bytes_ += frame;
     ++stats_.inserts;
+}
+
+size_t
+ResultStore::RecordIndex::home(const Digest128 &key) const
+{
+    // Fibonacci hashing: the top bits of a multiply by 2^64/phi.
+    return static_cast<size_t>(((key.hi ^ key.lo) * 0x9e3779b97f4a7c15ULL) >>
+                               shift_);
+}
+
+size_t
+ResultStore::RecordIndex::find(const Digest128 &key) const
+{
+    if (slots_.empty())
+        return npos;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = home(key);; i = (i + 1) & mask) {
+        const Slot &slot = slots_[i];
+        if (slot.offset == npos || slot.key == key)
+            return slot.offset;
+    }
+}
+
+void
+ResultStore::RecordIndex::assign(const Digest128 &key, size_t offset)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        reserve(size_ + 1);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = home(key);; i = (i + 1) & mask) {
+        Slot &slot = slots_[i];
+        if (slot.offset == npos) {
+            slot = {key, offset};
+            ++size_;
+            return;
+        }
+        if (slot.key == key) {
+            slot.offset = offset;
+            return;
+        }
+    }
+}
+
+void
+ResultStore::RecordIndex::reserve(size_t count)
+{
+    const size_t capacity = std::bit_ceil(std::max<size_t>(64, 2 * count));
+    if (capacity <= slots_.size())
+        return;
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+    shift_ = 64 - std::countr_zero(capacity);
+    size_ = 0;
+    for (const Slot &slot : old)
+        if (slot.offset != npos)
+            assign(slot.key, slot.offset);
 }
 
 Digest128
@@ -442,7 +573,7 @@ ResultStore::keyFor(const DesignPoint &design,
         const std::string file =
             design.topologySpec.substr(topo_prefix.size());
         std::string bytes;
-        if (!readFileBytes(file, &bytes)) [[unlikely]]
+        if (readRegularFile(file, &bytes) != ReadStatus::Ok) [[unlikely]]
             throw ConfigError("cannot read topology file '" + file +
                               "' for the cache key");
         hash.str(bytes);
@@ -526,7 +657,7 @@ ResultStore::encodeRecordPayload(const Digest128 &key,
 }
 
 bool
-ResultStore::decodeRecordPayload(const std::string &payload,
+ResultStore::decodeRecordPayload(std::string_view payload,
                                  Digest128 *key, RunResult *result)
 {
     if (payload.size() != kPayloadSize)

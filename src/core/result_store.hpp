@@ -46,9 +46,9 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -71,9 +71,9 @@ struct ResultStoreStats
 /** One intact record found by scanResultStore(). */
 struct ScannedResultRecord
 {
-    size_t offset = 0;   ///< file offset of the record framing
+    size_t offset = 0;        ///< file offset of the record framing
     Digest128 key;
-    std::string payload; ///< checksum-verified payload bytes
+    std::string_view payload; ///< checksum-verified payload bytes
 };
 
 /** One corrupt region found by scanResultStore(). */
@@ -87,7 +87,9 @@ struct ResultStoreDefect
 /**
  * Static analysis of result-store bytes, shared by ResultStore's
  * open-time recovery and qccd_lint's `.qcache` validation. Never
- * throws: every possible byte string yields a verdict.
+ * throws: every possible byte string yields a verdict. Records are
+ * framed in place: each payload views the scanned bytes, which must
+ * outlive the scan.
  */
 struct ResultStoreScan
 {
@@ -110,12 +112,14 @@ struct ResultStoreScan
     bool truncatedTail = false;
 };
 
-ResultStoreScan scanResultStore(const std::string &bytes);
+ResultStoreScan scanResultStore(std::string_view bytes);
 
 /**
  * The embedded cache. Construction acquires the lock, recovers the
- * file and loads the index; destruction releases the lock. Lookups
- * and inserts are in-memory-map cheap; inserts append-and-flush.
+ * file and indexes it; destruction releases the lock. The store keeps
+ * the bytes it read and a flat key -> record index into them, and
+ * decodes a record only when a lookup hits it; inserts append-and-
+ * flush, and join the same bytes and index.
  *
  * Not internally synchronized: one ResultStore belongs to one thread
  * (the sweep runner's emit loop, which is already serial). Cross-
@@ -142,10 +146,12 @@ class ResultStore
     /**
      * Open (creating if missing) the store at @p path.
      *
-     * @throws ConfigError when the file is not a result store, when
-     *         its schema version differs from kSchemaVersion, or when
-     *         another live process holds the lock. Corruption never
-     *         throws — it is quarantined and becomes misses.
+     * @throws ConfigError when @p path exists but is not a regular
+     *         file (refused before the lock is taken), when the file
+     *         is not a result store, when its schema version differs
+     *         from kSchemaVersion, or when another live process holds
+     *         the lock. Corruption never throws — it is quarantined
+     *         and becomes misses.
      */
     explicit ResultStore(const std::string &path);
     ~ResultStore();
@@ -202,10 +208,42 @@ class ResultStore
                                            const RunResult &result);
 
     /** Inverse of encodeRecordPayload; false on any size mismatch. */
-    static bool decodeRecordPayload(const std::string &payload,
+    static bool decodeRecordPayload(std::string_view payload,
                                     Digest128 *key, RunResult *result);
 
   private:
+    /** Key -> payload offset in bytes_: open addressing with linear
+     *  probing over a power-of-two table at most half full. */
+    class RecordIndex
+    {
+      public:
+        static constexpr size_t npos = static_cast<size_t>(-1);
+
+        size_t size() const { return size_; }
+
+        /** The payload offset stored for @p key, or npos. */
+        size_t find(const Digest128 &key) const;
+
+        /** Map @p key to @p offset; a later record of a key wins. */
+        void assign(const Digest128 &key, size_t offset);
+
+        /** Size the table for @p count keys. */
+        void reserve(size_t count);
+
+      private:
+        struct Slot
+        {
+            Digest128 key;
+            size_t offset = npos; ///< npos: an empty slot
+        };
+
+        size_t home(const Digest128 &key) const;
+
+        std::vector<Slot> slots_;
+        int shift_ = 64; ///< 64 - log2(slots_.size())
+        size_t size_ = 0;
+    };
+
     void acquireLock();
     void releaseLock();
     void recoverAndLoad();
@@ -214,7 +252,8 @@ class ResultStore
     std::string lockPath_;
     bool lockHeld_ = false;
     std::ofstream out_;
-    std::map<Digest128, RunResult> index_;
+    std::string bytes_; ///< what open read, then every appended frame
+    RecordIndex index_;
     ResultStoreStats stats_;
 };
 

@@ -369,6 +369,20 @@ printf '\x02' | dd of="$scratch/warm.qcache" bs=1 seek=8 conv=notrunc \
 expect_error "version-skewed cache" "schema version" \
     --sweep "$scratch/tiny.sweep" --out "$scratch/c2.csv" \
     --cache "$scratch/warm.qcache"
+# A path that exists but is not a regular file is refused before the
+# lock is taken: nothing is "healed" over it and nothing is left behind.
+mkdir "$scratch/dir.qcache"
+want_status=1 expect_error "directory as cache" \
+    "'$scratch/dir.qcache' is not a regular file" \
+    --sweep "$scratch/tiny.sweep" --out "$scratch/c5.csv" \
+    --cache "$scratch/dir.qcache"
+if [[ -e "$scratch/dir.qcache.tmp" || -e "$scratch/dir.qcache.lock" \
+      || ! -d "$scratch/dir.qcache" ]]; then
+    echo "FAIL: refusing a directory cache left files behind" >&2
+    failures=$((failures + 1))
+else
+    echo "ok: directory cache leaves no .tmp or .lock"
+fi
 printf '%s\n' "$$" > "$scratch/held.qcache.lock"
 expect_error "cache locked by live pid" "locked by running process" \
     --sweep "$scratch/tiny.sweep" --out "$scratch/c3.csv" \

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "benchgen/benchgen.hpp"
@@ -186,6 +191,143 @@ TEST(Export, ErrorRowOutcomesUseTheTaxonomyNames)
     point.outcome = PointOutcome::Infeasible;
     EXPECT_NE(sweepErrorRow(0, point).find(",infeasible,"),
               std::string::npos);
+}
+
+/** JSON escape as the stream-based export wrote it. */
+std::string
+referenceJsonEscape(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        if (c == '"')
+            out += "\\\"";
+        else if (c == '\\')
+            out += "\\\\";
+        else if (c == '\n')
+            out += "\\n";
+        else if (c == '\t')
+            out += "\\t";
+        else if (c == '\r')
+            out += "\\r";
+        else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out;
+}
+
+/** The CSV and JSON rows as an ostringstream with precision(12)
+ *  formats them: the bytes every golden CSV was written with. */
+std::pair<std::string, std::string>
+referenceRows(const SweepPoint &p)
+{
+    const RunResult &r = p.result;
+    std::ostringstream csv;
+    csv.precision(12);
+    csv << p.application << ',' << p.design.topologyLabel() << ','
+        << p.design.trapCapacity << ',' << gateImplName(p.design.hw.gateImpl)
+        << ',' << reorderMethodName(p.design.hw.reorder) << ','
+        << r.totalTime() / kSecondUs << ',' << r.computeOnlyTime / kSecondUs
+        << ',' << r.communicationTime() / kSecondUs << ',' << r.fidelity()
+        << ',' << r.sim.logFidelity << ',' << r.sim.maxChainEnergy << ','
+        << static_cast<long>(r.sim.counts.algorithmMs) << ','
+        << static_cast<long>(r.sim.counts.reorderMs) << ','
+        << static_cast<long>(r.sim.counts.shuttles) << ','
+        << static_cast<long>(r.sim.counts.splits) << ','
+        << static_cast<long>(r.sim.counts.merges) << ','
+        << static_cast<long>(r.sim.counts.evictions);
+    std::ostringstream json;
+    json.precision(12);
+    json << "{\"application\": \"" << referenceJsonEscape(p.application)
+         << "\", \"topology\": \""
+         << referenceJsonEscape(p.design.topologyLabel())
+         << "\", \"capacity\": " << p.design.trapCapacity
+         << ", \"gate\": \"" << gateImplName(p.design.hw.gateImpl)
+         << "\", \"reorder\": \"" << reorderMethodName(p.design.hw.reorder)
+         << "\", \"time_s\": " << r.totalTime() / kSecondUs
+         << ", \"compute_s\": " << r.computeOnlyTime / kSecondUs
+         << ", \"comm_s\": " << r.communicationTime() / kSecondUs
+         << ", \"fidelity\": " << r.fidelity()
+         << ", \"log_fidelity\": " << r.sim.logFidelity
+         << ", \"max_energy_quanta\": " << r.sim.maxChainEnergy
+         << ", \"ms_gates\": " << static_cast<long>(r.sim.counts.algorithmMs)
+         << ", \"reorder_ms\": " << static_cast<long>(r.sim.counts.reorderMs)
+         << ", \"shuttles\": " << static_cast<long>(r.sim.counts.shuttles)
+         << ", \"splits\": " << static_cast<long>(r.sim.counts.splits)
+         << ", \"merges\": " << static_cast<long>(r.sim.counts.merges)
+         << ", \"evictions\": " << static_cast<long>(r.sim.counts.evictions)
+         << "}";
+    return {csv.str(), json.str()};
+}
+
+// No golden pins the JSON bytes, and the goldens hold only the values
+// the paper's sweeps produce. Both formats must print every double as
+// the stream's %.12g did: signed zeros, subnormals, NaN and infinities,
+// both sides of the %g switch points (1e-4 and 1e12 at precision 12),
+// random bit patterns, and the integer extremes.
+TEST(Export, RowsMatchTheStreamFormatterOnEdgeValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const double edges[] = {
+        0.0, -0.0, denorm, -denorm, 1.5e-310, -2.2250738585072014e-308,
+        std::numeric_limits<double>::min(), nan, -nan, inf, -inf,
+        1e-4, std::nextafter(1e-4, 0.0), std::nextafter(1e-4, 1.0),
+        -1e-4, 9.999999999995e-5, 9.9999999999949e-5, 1e-5,
+        1e12, std::nextafter(1e12, 0.0), std::nextafter(1e12, 2e12),
+        999999999999.5, 999999999999.4, -1e12, 1e13, 1e6, 0.1, 1.0 / 3,
+        123456789012.0, 1234567890123.0, -987654.321, 2.5,
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max()};
+    const int64_t int_edges[] = {0, -1, 1, std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max(),
+                                 -9876543210LL, 1LL << 53};
+
+    std::mt19937_64 rng(20261018u);
+    const auto pickDouble = [&]() {
+        switch (rng() % 3) {
+        case 0:
+            return edges[rng() % std::size(edges)];
+        case 1: // any bit pattern: every exponent, NaN payloads too
+            return std::bit_cast<double>(static_cast<uint64_t>(rng()));
+        default: // a value of any decimal magnitude
+            return std::ldexp(static_cast<double>(rng() >> 11) /
+                                  9007199254740992.0,
+                              static_cast<int>(rng() % 200) - 100) *
+                   (rng() % 2 != 0 ? -1.0 : 1.0);
+        }
+    };
+    const auto pickInt = [&]() {
+        return rng() % 2 != 0 ? int_edges[rng() % std::size(int_edges)]
+                              : static_cast<int64_t>(rng());
+    };
+
+    const std::string labels[] = {"qft", "we\"ird\\app", "tab\there\n",
+                                  std::string("ctl\x01\x1f\r", 6), "a,b"};
+    for (int i = 0; i < 2000; ++i) {
+        SweepPoint p;
+        p.application = labels[static_cast<size_t>(i) % std::size(labels)];
+        p.design.trapCapacity = static_cast<int>(pickInt());
+        p.result.sim.makespan = pickDouble();
+        p.result.computeOnlyTime = pickDouble();
+        p.result.sim.logFidelity = pickDouble();
+        p.result.sim.maxChainEnergy = pickDouble();
+        p.result.sim.zeroFidelityOps = i % 7 == 0 ? 1 : 0;
+        p.result.sim.counts.algorithmMs = pickInt();
+        p.result.sim.counts.reorderMs = pickInt();
+        p.result.sim.counts.shuttles = pickInt();
+        p.result.sim.counts.splits = pickInt();
+        p.result.sim.counts.merges = pickInt();
+        p.result.sim.counts.evictions = pickInt();
+        const auto [csv, json] = referenceRows(p);
+        ASSERT_EQ(sweepCsvRow(p), csv) << "row " << i;
+        ASSERT_EQ(sweepJsonRow(p), json) << "row " << i;
+    }
 }
 
 } // namespace

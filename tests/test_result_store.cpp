@@ -7,11 +7,14 @@
  * mutation yields a clean miss or a typed QccdError, never a wrong
  * value or a crash) and the runner-level contracts: warm runs emit
  * byte-identical rows without evaluation, cache faults degrade to a
- * cold run, and --cache-verify catches a tampered record.
+ * cold run, and --cache-verify catches a tampered record. The scanner
+ * is checked against an independent byte-serial reference on every
+ * fuzz input and with a damaged record in every checksum lane.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -510,9 +513,220 @@ TEST(ResultStore, LockIsReleasedOnClose)
     EXPECT_EQ(again.entries(), 0u);
 }
 
+TEST(ResultStore, ANonRegularPathIsRefusedAndLeftAsItWas)
+{
+    const std::string path = pathIn("dir.qcache");
+    removeStoreFiles(path);
+    std::remove((path + ".tmp").c_str());
+    ::rmdir(path.c_str());
+    ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+    const auto refusal = [&path]() -> std::string {
+        try {
+            ResultStore store(path);
+        } catch (const ConfigError &err) {
+            return err.what();
+        }
+        return "opened";
+    };
+
+    EXPECT_NE(refusal().find("'" + path + "' is not a regular file"),
+              std::string::npos);
+    EXPECT_FALSE(fileExists(path + ".lock"));
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    struct stat info {};
+    ASSERT_EQ(::stat(path.c_str(), &info), 0);
+    EXPECT_TRUE(S_ISDIR(info.st_mode));
+
+    // The refusal comes before the lock: a live owner's lock is neither
+    // reported nor touched.
+    const std::string owner = std::to_string(::getpid()) + "\n";
+    writeBytes(path + ".lock", owner);
+    EXPECT_NE(refusal().find("is not a regular file"), std::string::npos);
+    EXPECT_EQ(readBytes(path + ".lock"), owner);
+    std::remove((path + ".lock").c_str());
+    ::rmdir(path.c_str());
+}
+
+// A record whose key repeats an earlier one (only a forged or merged
+// file holds one: insert never appends a known key) replaces it, and
+// still counts as loaded.
+TEST(ResultStore, ALaterDuplicateKeyWinsAndCountsAsLoaded)
+{
+    const std::string path = pathIn("dupkey.qcache");
+    std::string bytes = buildStore(path, 2);
+    const std::string payload =
+        ResultStore::encodeRecordPayload(sampleKey(0), sampleResult(7));
+    std::string frame(12, '\0');
+    frame[0] = static_cast<char>(payload.size() & 0xff);
+    frame[1] = static_cast<char>(payload.size() >> 8);
+    bytes += frame + payload;
+    fixChecksum(&bytes, 2);
+    writeBytes(path, bytes);
+
+    ResultStore store(path);
+    EXPECT_EQ(store.stats().loaded, 3u);
+    EXPECT_EQ(store.stats().quarantined, 0u);
+    EXPECT_EQ(store.entries(), 2u);
+    const std::optional<RunResult> hit = store.lookup(sampleKey(0));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(sameResult(sampleKey(0), *hit, sampleResult(7)));
+}
+
+// Far more keys than the index's first table: every insert and every
+// reopened record stays reachable across the index's growth.
+TEST(ResultStore, ManyKeysStayReachableAcrossIndexGrowth)
+{
+    const std::string path = pathIn("many.qcache");
+    constexpr int kKeys = 300;
+    removeStoreFiles(path);
+    {
+        ResultStore store(path);
+        for (int i = 0; i < kKeys; ++i)
+            store.insert(sampleKey(i), sampleResult(i));
+        EXPECT_EQ(store.entries(), static_cast<size_t>(kKeys));
+        for (int i = 0; i < kKeys; ++i) {
+            const std::optional<RunResult> hit = store.lookup(sampleKey(i));
+            ASSERT_TRUE(hit.has_value()) << i;
+            EXPECT_TRUE(sameResult(sampleKey(i), *hit, sampleResult(i))) << i;
+        }
+    }
+    ResultStore again(path);
+    EXPECT_EQ(again.stats().loaded, static_cast<size_t>(kKeys));
+    for (int i = 0; i < kKeys; ++i) {
+        const std::optional<RunResult> hit = again.lookup(sampleKey(i));
+        ASSERT_TRUE(hit.has_value()) << i;
+        EXPECT_TRUE(sameResult(sampleKey(i), *hit, sampleResult(i))) << i;
+    }
+    EXPECT_FALSE(again.lookup(sampleKey(kKeys)).has_value());
+    removeStoreFiles(path);
+}
+
 // ---------------------------------------------------------------------
 // scanResultStore (the lint-facing static half)
 // ---------------------------------------------------------------------
+
+/** What a byte-at-a-time reading of the documented format finds. It
+ *  shares no code with scanResultStore: its own constants, its own
+ *  little-endian reads and its own FNV-1a. */
+struct ReferenceScan
+{
+    bool magicOk = false;
+    bool headerTorn = false;
+    uint32_t version = 0;
+    bool versionOk = false;
+    bool truncatedTail = false;
+    size_t tornTailOffset = 0;
+    struct Record
+    {
+        size_t offset;
+        Digest128 key;
+        std::string payload;
+    };
+    std::vector<Record> records;
+    struct Defect
+    {
+        size_t offset;
+        size_t length;
+        std::string reason;
+    };
+    std::vector<Defect> defects;
+};
+
+ReferenceScan
+referenceScan(const std::string &bytes)
+{
+    const std::string magic = "qccdRES\n";
+    const std::string header = magic + std::string("\1\0\0\0\0\0\0\0", 8);
+    const size_t payload_size = 204;
+    const auto le = [&bytes](size_t at, int width) {
+        uint64_t value = 0;
+        for (int i = width - 1; i >= 0; --i)
+            value = (value << 8) | static_cast<unsigned char>(
+                                        bytes[at + static_cast<size_t>(i)]);
+        return value;
+    };
+
+    ReferenceScan scan;
+    scan.tornTailOffset = bytes.size();
+    if (bytes.size() < header.size()) {
+        bool prefix = true;
+        for (size_t i = 0; i < bytes.size(); ++i)
+            prefix = prefix && bytes[i] == header[i];
+        scan.headerTorn = prefix || (bytes.size() >= magic.size() &&
+                                     bytes.compare(0, 8, magic) == 0);
+        scan.magicOk = scan.headerTorn && bytes.size() >= magic.size();
+        return scan;
+    }
+    scan.magicOk = bytes.compare(0, 8, magic) == 0;
+    if (!scan.magicOk)
+        return scan;
+    scan.version = static_cast<uint32_t>(le(8, 4));
+    scan.versionOk = scan.version == 1;
+    if (!scan.versionOk)
+        return scan;
+
+    size_t at = 16;
+    while (at < bytes.size()) {
+        const size_t left = bytes.size() - at;
+        if (left < 12) {
+            scan.truncatedTail = true;
+            scan.tornTailOffset = at;
+            break;
+        }
+        if (le(at, 4) != payload_size) {
+            scan.defects.push_back({at, left, "frame"});
+            scan.tornTailOffset = at;
+            break;
+        }
+        if (left < 12 + payload_size) {
+            scan.truncatedTail = true;
+            scan.tornTailOffset = at;
+            break;
+        }
+        uint64_t sum = 0xcbf29ce484222325ULL;
+        for (size_t i = 0; i < payload_size; ++i) {
+            sum ^= static_cast<unsigned char>(bytes[at + 12 + i]);
+            sum *= 0x100000001b3ULL;
+        }
+        if (sum != le(at + 4, 8))
+            scan.defects.push_back({at, 12 + payload_size, "checksum"});
+        else
+            scan.records.push_back({at,
+                                    Digest128{le(at + 12, 8), le(at + 20, 8)},
+                                    bytes.substr(at + 12, payload_size)});
+        at += 12 + payload_size;
+    }
+    return scan;
+}
+
+/** scanResultStore(@p bytes) reports exactly what referenceScan does. */
+void
+expectScanMatchesReference(const std::string &bytes)
+{
+    const ResultStoreScan got = scanResultStore(bytes);
+    const ReferenceScan want = referenceScan(bytes);
+    EXPECT_EQ(got.magicOk, want.magicOk);
+    EXPECT_EQ(got.headerTorn, want.headerTorn);
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(got.versionOk, want.versionOk);
+    EXPECT_EQ(got.truncatedTail, want.truncatedTail);
+    EXPECT_EQ(got.tornTail(), want.headerTorn || want.truncatedTail);
+    EXPECT_EQ(got.tornTailOffset, want.tornTailOffset);
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (size_t i = 0; i < want.records.size(); ++i) {
+        EXPECT_EQ(got.records[i].offset, want.records[i].offset) << i;
+        EXPECT_EQ(got.records[i].key, want.records[i].key) << i;
+        EXPECT_EQ(std::string(got.records[i].payload),
+                  want.records[i].payload)
+            << i;
+    }
+    ASSERT_EQ(got.defects.size(), want.defects.size());
+    for (size_t i = 0; i < want.defects.size(); ++i) {
+        EXPECT_EQ(got.defects[i].offset, want.defects[i].offset) << i;
+        EXPECT_EQ(got.defects[i].length, want.defects[i].length) << i;
+        EXPECT_EQ(got.defects[i].reason, want.defects[i].reason) << i;
+    }
+}
 
 TEST(ScanResultStore, ClassifiesPrefixesAndGarbage)
 {
@@ -531,6 +745,50 @@ TEST(ScanResultStore, ClassifiesPrefixesAndGarbage)
     const ResultStoreScan junk = scanResultStore("this is not a cache");
     EXPECT_FALSE(junk.magicOk);
     EXPECT_FALSE(junk.headerTorn);
+}
+
+// Stores of 0-9 records put a damaged record in every checksum lane
+// and in the serial tail after the last whole group of lanes.
+TEST(ScanResultStore, MatchesTheReferenceWithADefectAtEveryPosition)
+{
+    const std::string path = pathIn("lanes.qcache");
+    for (int count = 0; count <= 9; ++count) {
+        const std::string whole = buildStore(path, count);
+        SCOPED_TRACE("records " + std::to_string(count));
+        expectScanMatchesReference(whole);
+        EXPECT_EQ(scanResultStore(whole).records.size(),
+                  static_cast<size_t>(count));
+        for (int at = 0; at < count; ++at) {
+            SCOPED_TRACE("damaged record " + std::to_string(at));
+            const size_t offset = recordOffset(static_cast<size_t>(at));
+
+            std::string flipped = whole;
+            flipped[offset + 12 + 100] ^= 0x20;
+            expectScanMatchesReference(flipped);
+            const ResultStoreScan scan = scanResultStore(flipped);
+            ASSERT_EQ(scan.defects.size(), 1u);
+            EXPECT_EQ(scan.defects[0].offset, offset);
+            EXPECT_EQ(scan.records.size(), static_cast<size_t>(count - 1));
+
+            std::string bad_sum = whole;
+            bad_sum[offset + 4] ^= 0x01;
+            expectScanMatchesReference(bad_sum);
+
+            std::string reframed = whole;
+            reframed[offset + 1] ^= 0x01;
+            expectScanMatchesReference(reframed);
+
+            // A checksum defect, then a frame defect after it: the
+            // frame defect is reported last.
+            std::string both = flipped;
+            both[recordOffset(static_cast<size_t>(count - 1)) + 1] ^= 0x01;
+            expectScanMatchesReference(both);
+
+            expectScanMatchesReference(whole.substr(0, offset + 7));
+            expectScanMatchesReference(whole.substr(0, offset + 100));
+        }
+    }
+    removeStoreFiles(path);
 }
 
 // ---------------------------------------------------------------------
@@ -581,6 +839,10 @@ TEST(ResultStore, MutateTheStoreFuzzNeverYieldsAWrongValue)
                 bytes[at + b] = static_cast<char>(byteAt(256));
             break;
         }
+        }
+        {
+            SCOPED_TRACE("iteration " + std::to_string(iter));
+            expectScanMatchesReference(bytes);
         }
         removeStoreFiles(path);
         writeBytes(path, bytes);
