@@ -59,14 +59,15 @@ BM_SearchConvergence(benchmark::State &state)
         parseSweepPlan(kSpecText, "search_convergence");
     SweepEngine engine;
     SweepSpecRunner runner(engine);
-    const std::vector<PlannedPoint> points = plan.expand();
+    const size_t n = plan.size();
 
     // Exhaustive reference (outside the timing loop).
     std::vector<SweepPoint> exhaustive;
-    exhaustive.reserve(points.size());
-    runner.run(points, 0, [&](const SweepPoint &point) {
-        exhaustive.push_back(point);
-    });
+    exhaustive.reserve(n);
+    runner.run(plan, indexRange(0, n),
+               [&](size_t, const SweepPoint &point) {
+                   exhaustive.push_back(point);
+               });
     size_t best = 0;
     for (size_t i = 1; i < exhaustive.size(); ++i) {
         const double fid = exhaustive[i].result.sim.logFidelity;
@@ -79,14 +80,14 @@ BM_SearchConvergence(benchmark::State &state)
 
     // Analytic priors for the rank-correlation counter.
     const AnalyticCostModel model;
-    const size_t n = points.size();
     std::vector<CostPrediction> priors(n);
-    for (size_t i = 0; i < n; ++i)
+    for (size_t i = 0; i < n; ++i) {
+        const PlannedPoint point = plan.point(i);
         priors[i] = model.predict(
-            points[i].design,
-            computeStats(*runner.circuitFor(points[i])),
+            point.design, computeStats(*runner.circuitFor(point)),
             extractTopologyFeatures(
-                engine.context(points[i].design)->topology()));
+                engine.context(point.design)->topology()));
+    }
     const std::vector<size_t> predictedRank =
         ranksUnder(n, [&](size_t a, size_t b) {
             if (priors[a].logFidelity != priors[b].logFidelity)
@@ -122,8 +123,7 @@ BM_SearchConvergence(benchmark::State &state)
     bool foundOptimum = false;
     for (auto _ : state) {
         SearchEngine search(engine);
-        const SearchOutcome outcome =
-            search.run(PlanSearchSpace(plan), {});
+        const SearchOutcome outcome = search.run(plan, {});
         evaluated = outcome.stats.evaluated;
         foundOptimum =
             outcome.haveWinner && outcome.winnerIndex == best;

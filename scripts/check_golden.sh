@@ -10,8 +10,10 @@
 # (golden/schema1.qcache, written by an earlier build), the exact
 # staged: counts of every spec at one worker and of two model-knob
 # specs at four,
-# and the full primitive stream (--trace dump and .isa file) of two
-# single-point runs against golden/*.trace and golden/*.isa.
+# the full primitive stream (--trace dump and .isa file) of two
+# single-point runs against golden/*.trace and golden/*.isa,
+# and the --recommend report for bv (golden/recommend_bv.txt) at one
+# worker and at four.
 # Any diff means a change altered the
 # simulator's arithmetic or the export format — intended metric changes
 # must regenerate the golden files in the same commit. Every golden CSV
@@ -291,6 +293,25 @@ check_stream bv_linear6_c14_fm_is --app bv --topology linear:6 \
     --capacity 14 --gate FM --reorder IS
 check_stream bv_linear6_c14_fm_gs_b0 --app bv --topology linear:6 \
     --capacity 14 --gate FM --reorder GS --buffer 0
+
+# --- Recommendation report at one and four workers ------------------
+# The candidate search, its counters and the ranking table are a pure
+# function of the application: a four-worker run must print the same
+# report apart from its worker count.
+echo "== --recommend bv, --jobs 1 and --jobs 4 =="
+mkdir -p "$scratch/recommend"
+if (cd "$scratch/recommend" &&
+        "$EXPLORE" --app bv --recommend --jobs 1 > j1.txt 2> j1.err &&
+        "$EXPLORE" --app bv --recommend --jobs 4 > j4.txt 2> j4.err &&
+        cmp -s j1.txt "$GOLDEN_DIR/recommend_bv.txt" &&
+        sed 's/ on 4 workers\.\.\.$/ on 1 workers.../' j4.txt |
+            cmp -s - "$GOLDEN_DIR/recommend_bv.txt"); then
+    echo "   --recommend report matches golden at 1 and 4 workers"
+else
+    echo "   --recommend report DIFFERS from golden/recommend_bv.txt" \
+        "(see $scratch/recommend)" >&2
+    failures=$((failures + 1))
+fi
 
 # --- Every golden must have been produced by some spec --------------
 for golden_csv in "${golden_files[@]}"; do

@@ -25,7 +25,8 @@
  *    [grid-too-large], unknown applications/gates/reorders/policies
  *    [unknown-app, unknown-gate, unknown-reorder, unknown-policy], bad
  *    topology specs [bad-topology], empty `qasm:`/`topo:` paths
- *    [missing-file], and capacity bounds [bad-capacity, bad-buffer].
+ *    [missing-file], capacity bounds [bad-capacity, bad-buffer], and
+ *    "params" values outside their model's range [bad-param].
  *  - `.sweep`, lint's own checks on what the parser accepted: duplicate
  *    axis values [duplicate-axis-value, warning], `qasm:`/`topo:` paths
  *    that do not resolve [missing-file], devices that fail to build

@@ -16,55 +16,59 @@ CandidateSpace::size() const
            reorders.size();
 }
 
+SweepPlan
+CandidateSpace::plan(const PlannedPoint &base, SweepEngine &engine) const
+{
+    SweepPlan plan;
+    std::vector<SweepGrid::Axis> axes(2);
+    axes[0].key = "gate";
+    for (const GateImpl gate : gates)
+        axes[0].values.push_back([gate](PlannedPoint &point) {
+            point.design.hw.gateImpl = gate;
+        });
+    axes[1].key = "reorder";
+    for (const ReorderMethod reorder : reorders)
+        axes[1].values.push_back([reorder](PlannedPoint &point) {
+            point.design.hw.reorder = reorder;
+        });
+    for (const std::string &topo : topologies) {
+        for (const int cap : capacities) {
+            PlannedPoint grid = base;
+            grid.design.topologySpec = topo;
+            grid.design.trapCapacity = cap;
+            // The shared context also answers the fit check without
+            // building a throwaway topology per candidate.
+            if (engine.context(grid.design)->topology().totalCapacity() <
+                base.native->numQubits())
+                continue; // application does not fit
+            plan.grids.emplace_back(std::move(grid), axes);
+        }
+    }
+    fatalUnless(plan.size() > 0,
+                "no candidate design fits the application");
+    return plan;
+}
+
 std::vector<RankedDesign>
 rankDesigns(const Circuit &circuit, const CandidateSpace &space,
             int jobs)
 {
     SweepEngine engine(jobs);
-    const auto native = SweepEngine::lower(circuit);
+    PlannedPoint base;
+    base.application = circuit.name();
+    base.native = SweepEngine::lower(circuit);
+    const SweepPlan plan = space.plan(base, engine);
 
-    std::vector<SweepJob> batch;
-    batch.reserve(space.size());
-    for (const std::string &topo : space.topologies) {
-        for (int cap : space.capacities) {
-            for (GateImpl gate : space.gates) {
-                for (ReorderMethod reorder : space.reorders) {
-                    DesignPoint dp;
-                    dp.topologySpec = topo;
-                    dp.trapCapacity = cap;
-                    dp.hw.gateImpl = gate;
-                    dp.hw.reorder = reorder;
-                    // The shared context also answers the fit check
-                    // without building a throwaway topology per
-                    // candidate.
-                    if (engine.context(dp)->topology().totalCapacity() <
-                        circuit.numQubits())
-                        continue; // application does not fit
-                    SweepJob job;
-                    job.application = circuit.name();
-                    job.native = native;
-                    job.design = dp;
-                    batch.push_back(std::move(job));
-                }
-            }
-        }
-    }
-    fatalUnless(!batch.empty(),
-                "no candidate design fits the application");
-
-    const std::vector<SweepPoint> points = engine.run(batch);
+    const std::vector<size_t> all = indexRange(0, plan.size());
     std::vector<RankedDesign> ranking;
-    ranking.reserve(points.size());
-    for (const SweepPoint &p : points)
-        ranking.emplace_back(p.design, p.result);
-
-    std::stable_sort(ranking.begin(), ranking.end(),
-                     [](const RankedDesign &a, const RankedDesign &b) {
-                         if (a.score() != b.score())
-                             return a.score() > b.score();
-                         return a.result.totalTime() <
-                                b.result.totalTime();
-                     });
+    ranking.reserve(all.size());
+    SweepSpecRunner(engine).run(
+        plan, all,
+        [&](size_t, const SweepPoint &p) {
+            ranking.emplace_back(p.design, p.result);
+        },
+        {}, all.size());
+    std::stable_sort(ranking.begin(), ranking.end(), RankedDesign::before);
     return ranking;
 }
 

@@ -7,7 +7,8 @@
  * application and a candidate space, it runs the toolflow over every
  * candidate and ranks them by application fidelity (tie-broken by
  * runtime), returning the recommendation a device architect would act
- * on.
+ * on. The candidate space is built as a SweepPlan
+ * (CandidateSpace::plan): the plan `qccd_explore --recommend` searches.
  */
 
 #ifndef QCCD_CORE_RECOMMEND_HPP
@@ -16,10 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "core/toolflow.hpp"
+#include "core/sweep_spec.hpp"
 
 namespace qccd
 {
+
+class SweepEngine;
 
 /** One evaluated candidate, ranked. */
 struct RankedDesign
@@ -29,6 +32,14 @@ struct RankedDesign
 
     /** Primary objective: log fidelity (higher is better). */
     double score() const { return result.sim.logFidelity; }
+
+    /** Ranking order: higher score first, then shorter runtime. */
+    static bool before(const RankedDesign &a, const RankedDesign &b)
+    {
+        if (a.score() != b.score())
+            return a.score() > b.score();
+        return a.result.totalTime() < b.result.totalTime();
+    }
 };
 
 /** The candidate space to search. */
@@ -43,6 +54,20 @@ struct CandidateSpace
 
     /** Number of candidate design points in the space. */
     size_t size() const;
+
+    /**
+     * The candidates @p base's circuit fits, as a plan: one grid per
+     * fitting topology x capacity (in list order), with gate x reorder
+     * axes. Each point is @p base with those four fields overwritten,
+     * so its other hardware knobs and run options reach every
+     * candidate.
+     *
+     * @param base the lowered circuit (`native`, set), its row label
+     *        and the knobs every candidate shares
+     * @param engine answers the fit check from its shared contexts
+     * @throws ConfigError when no candidate fits
+     */
+    SweepPlan plan(const PlannedPoint &base, SweepEngine &engine) const;
 };
 
 /**

@@ -91,8 +91,8 @@ loadHealedLines(const std::string &path, bool *existed)
 
 ResumeState
 analyzeResume(const std::string &out_path, bool with_header,
-              bool keep_going, const std::vector<PlannedPoint> &slice,
-              size_t slice_first)
+              bool keep_going, const SweepPlan &plan, size_t first,
+              size_t last)
 {
     ResumeState state;
 
@@ -147,17 +147,16 @@ analyzeResume(const std::string &out_path, bool with_header,
             throw ConfigError("cannot resume '" + out_path +
                               "': sidecar row index '" + fields[0] +
                               "' is not a number");
-        if (absolute < slice_first || absolute - slice_first >= slice.size())
+        if (absolute < first || absolute >= last)
             throw ConfigError("cannot resume '" + out_path +
                               "': sidecar index " + fields[0] +
                               " is outside this sweep shard's points");
-        const size_t rel = absolute - slice_first;
         if (!state.failedIndices.empty() &&
-            rel <= state.failedIndices.back())
+            absolute <= state.failedIndices.back())
             throw ConfigError("cannot resume '" + out_path +
                               "': sidecar indices are not strictly "
                               "increasing");
-        const std::string expect = plannedKey(slice[rel]);
+        const std::string expect = plannedKey(plan.point(absolute));
         const std::string got =
             rowKey({fields[1], fields[2], fields[3]});
         if (got != expect)
@@ -165,21 +164,21 @@ analyzeResume(const std::string &out_path, bool with_header,
                               "': sidecar row (" + got +
                               ") does not match the planned point (" +
                               expect + ") at index " + fields[0]);
-        state.failedIndices.push_back(rel);
+        state.failedIndices.push_back(absolute);
     }
 
     state.done = state.csvRows + state.failedIndices.size();
-    if (state.done > slice.size())
+    if (state.done > last - first)
         throw ConfigError("cannot resume '" + out_path +
                           "': it has more rows than this sweep produces");
 
-    // Verify the completed prefix row by row: every planned point up
-    // to `done` must appear either as the next CSV data row or as a
-    // recorded failure — a header-compatible CSV from a different
+    // Verify the completed prefix row by row: every plan point up to
+    // `first + done` must appear either as the next CSV data row or as
+    // a recorded failure — a header-compatible CSV from a different
     // sweep (or the wrong shard) fails here instead of merging.
     size_t next_csv = 0;
     size_t next_failed = 0;
-    for (size_t i = 0; i < state.done; ++i) {
+    for (size_t i = first; i < first + state.done; ++i) {
         if (next_failed < state.failedIndices.size() &&
             state.failedIndices[next_failed] == i) {
             ++next_failed; // verified against the sidecar above
@@ -191,7 +190,7 @@ analyzeResume(const std::string &out_path, bool with_header,
                               "completed rows");
         const std::vector<std::string> fields =
             leadingFields(csv_lines[next_csv], 3);
-        const std::string expect = plannedKey(slice[i]);
+        const std::string expect = plannedKey(plan.point(i));
         const std::string got = rowKey(fields);
         if (got != expect) [[unlikely]]
             throw ConfigError("cannot resume '" + out_path + "': row " +

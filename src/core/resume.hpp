@@ -12,10 +12,11 @@
  *     tear at most the final line.
  *  2. A torn final line is dropped by atomic replace (tmp + rename) —
  *     a kill during healing itself loses nothing either.
- *  3. Resumed rows are cross-checked against the shard's planned points
- *     (application / topology / capacity per row, failure indices in
- *     the sidecar), so a header-compatible CSV from a *different* sweep
- *     or shard is refused instead of silently merged.
+ *  3. Resumed rows are cross-checked against the plan points of the
+ *     shard's index range, each decoded by its index (application /
+ *     topology / capacity per row, plan indices in the sidecar), so a
+ *     header-compatible CSV from a *different* sweep or shard is
+ *     refused instead of silently merged.
  */
 
 #ifndef QCCD_CORE_RESUME_HPP
@@ -43,8 +44,8 @@ struct ResumeState
      *  written; the resumed writer must emit it on shard 0). */
     bool csvEmpty = true;
 
-    /** Slice-relative indices of failed points from the sidecar,
-     *  strictly ascending. */
+    /** Plan indices of failed points from the sidecar, strictly
+     *  ascending. */
     std::vector<size_t> failedIndices;
 };
 
@@ -60,24 +61,23 @@ std::string loadHealedLines(const std::string &path, bool *existed);
 
 /**
  * Inspect @p out_path (and its `.errors` sidecar) for a resumed run of
- * shard slice @p slice, healing torn lines and validating every
- * recovered row against the planned points.
+ * the plan indices [@p first, @p last), healing torn lines and
+ * validating every recovered row against the plan point at its index.
  *
  * @param out_path the sweep's CSV output path
  * @param with_header whether this shard writes the CSV header (shard 0)
  * @param keep_going whether this resume runs under --keep-going; a
  *        sidecar with recorded failures is refused without it
- * @param slice the planned points of this shard, in evaluation order
- * @param slice_first absolute index of slice[0] in the expanded spec
- *        (sidecar rows store absolute indices so they stay meaningful
- *        across shards)
+ * @param plan the sweep's plan
+ * @param first first plan index of this shard (sidecar rows store plan
+ *        indices so they stay meaningful across shards)
+ * @param last one past the shard's last plan index
  * @throws ConfigError when the checkpoint does not belong to this
  *         sweep/shard or is internally inconsistent
  */
 ResumeState analyzeResume(const std::string &out_path, bool with_header,
-                          bool keep_going,
-                          const std::vector<PlannedPoint> &slice,
-                          size_t slice_first);
+                          bool keep_going, const SweepPlan &plan,
+                          size_t first, size_t last);
 
 } // namespace qccd
 

@@ -45,9 +45,9 @@ SearchEngine::SearchEngine(SweepEngine &engine)
 }
 
 SearchOutcome
-SearchEngine::run(const SearchSpace &space, const SearchOptions &options)
+SearchEngine::run(const SweepPlan &plan, const SearchOptions &options)
 {
-    const size_t n = space.size();
+    const size_t n = plan.size();
     fatalUnless(n > 0, "search space is empty");
 
     SearchOutcome out;
@@ -68,20 +68,14 @@ SearchEngine::run(const SearchSpace &space, const SearchOptions &options)
     // the exhaustive sweep's for the same points.
     const auto evaluate = [&](std::vector<size_t> indices) {
         std::sort(indices.begin(), indices.end());
-        std::vector<PlannedPoint> points;
-        points.reserve(indices.size());
-        for (const size_t index : indices)
-            points.push_back(space.point(index));
-        size_t at = 0;
         const SweepRunStats run = runner_.run(
-            points, 0,
-            [&](const SweepPoint &point) {
-                const size_t index = indices[at++];
+            plan, indices,
+            [&](size_t index, const SweepPoint &point) {
                 evaluated[index] = 1;
                 out.evaluations.push_back({index, point});
             },
             options.policy, std::max<size_t>(1, indices.size()));
-        spent += at;
+        spent += run.evaluated;
         out.stats.run.evaluated += run.evaluated;
         out.stats.run.failed += run.failed;
         out.stats.run.aborted =
@@ -95,10 +89,7 @@ SearchEngine::run(const SearchSpace &space, const SearchOptions &options)
     if (budget >= n) {
         // The budget covers the space: this is an exhaustive sweep in
         // one batch; no surrogate needed.
-        std::vector<size_t> all(n);
-        for (size_t i = 0; i < n; ++i)
-            all[i] = i;
-        evaluate(std::move(all));
+        evaluate(indexRange(0, n));
     } else {
         // Analytic priors for every candidate. Feature extraction is
         // memoized per circuit and per architecture; points whose
@@ -111,7 +102,7 @@ SearchEngine::run(const SearchSpace &space, const SearchOptions &options)
         std::vector<CostPrediction> priors(n);
         std::vector<char> scored(n, 0);
         for (size_t i = 0; i < n; ++i) {
-            const PlannedPoint point = space.point(i);
+            const PlannedPoint point = plan.point(i);
             try {
                 const std::shared_ptr<const Circuit> circuit =
                     runner_.circuitFor(point);

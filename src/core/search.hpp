@@ -6,17 +6,17 @@
  *
  * The exhaustive sweeps stop scaling around 10^4 points; the spaces a
  * SweepPlan can declare (arbitrary `.topo` graphs x capacities x 17
- * model knobs) are far larger. SearchEngine expands the plan lazily
- * (SweepGrid::point decodes any index on demand), scores every
+ * model knobs) are far larger. SearchEngine decodes plan points on
+ * demand (SweepGrid::point decodes any index), scores every
  * candidate with a cheap CostModel (core/cost_model.hpp), and spends
  * its real-evaluation budget successively-halving down the predicted
  * frontier. Real evaluations run through the existing
  * SweepSpecRunner -> SweepEngine -> StagedToolflow -> ResultStore
- * stack: each rung is one engine batch, sorted by spec index so
- * schedule-key grouping and the replay fast path apply, and rows are
- * byte-identical to what the exhaustive sweep would emit for the same
- * points (that identity is the audit contract `--search-report`
- * exposes and tests/test_search.cpp pins).
+ * stack: each rung hands its sorted index list to the runner as one
+ * engine batch, so schedule-key grouping and the replay fast path
+ * apply, and rows are byte-identical to what the exhaustive sweep
+ * would emit for the same points (that identity is the audit contract
+ * `--search-report` exposes and tests/test_search.cpp pins).
  *
  * Determinism: ranking is pure (surrogate scores, ties broken by spec
  * index), calibration sampling is seeded (SearchOptions::seed), and
@@ -52,52 +52,6 @@ namespace qccd
 {
 
 class SweepEngine;
-
-/**
- * A lazily addressable candidate space: the search needs only its
- * size and random access to points. SweepPlan and plain point vectors
- * (the --recommend path) adapt below.
- */
-class SearchSpace
-{
-  public:
-    virtual ~SearchSpace() = default;
-    virtual size_t size() const = 0;
-    virtual PlannedPoint point(size_t index) const = 0;
-};
-
-/** SearchSpace over a parsed SweepPlan (lazy grid decode). */
-class PlanSearchSpace : public SearchSpace
-{
-  public:
-    explicit PlanSearchSpace(const SweepPlan &plan) : plan_(&plan) {}
-    size_t size() const override { return plan_->size(); }
-    PlannedPoint point(size_t index) const override
-    {
-        return plan_->point(index);
-    }
-
-  private:
-    const SweepPlan *plan_;
-};
-
-/** SearchSpace over an explicit point list. */
-class PointsSearchSpace : public SearchSpace
-{
-  public:
-    explicit PointsSearchSpace(const std::vector<PlannedPoint> &points)
-        : points_(&points)
-    {
-    }
-    size_t size() const override { return points_->size(); }
-    PlannedPoint point(size_t index) const override
-    {
-        return (*points_)[index];
-    }
-
-  private:
-    const std::vector<PlannedPoint> *points_;
-};
 
 /** How a search run is configured (spec "search" block + CLI flags). */
 struct SearchOptions
@@ -158,15 +112,14 @@ class SearchEngine
     explicit SearchEngine(SweepEngine &engine);
 
     /**
-     * Search @p space under @p options.
+     * Search the points of @p plan under @p options.
      *
      * Throws on the first evaluation failure unless
      * options.policy.keepGoing is set (failed points then consume
      * budget and are reported in evaluations). Throws ConfigError if
-     * the space is empty.
+     * the plan is empty.
      */
-    SearchOutcome run(const SearchSpace &space,
-                      const SearchOptions &options);
+    SearchOutcome run(const SweepPlan &plan, const SearchOptions &options);
 
   private:
     SweepEngine &engine_;

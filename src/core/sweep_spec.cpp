@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -263,8 +264,16 @@ class SpecBuilder
             const auto knob = lookupAt("unknown-param", pv, [&] {
                 return &hardwareKnob(param);
             });
+            // Every model range is per field, so the value checked on
+            // otherwise default parameters passes or fails as it would
+            // next to any other values.
             if (knob && lookupAt("bad-kind", pv, [&] {
                     (*knob)->check(pv.number);
+                    return true;
+                }) && lookupAt("bad-param", pv, [&] {
+                    HardwareParams hw;
+                    (*knob)->set(hw, pv.number);
+                    hw.validate();
                     return true;
                 }))
                 overrides.emplace_back(*knob, pv.number);
@@ -557,15 +566,12 @@ SweepPlan::point(size_t index) const
     return {};
 }
 
-std::vector<PlannedPoint>
-SweepPlan::expand() const
+std::vector<size_t>
+indexRange(size_t first, size_t last)
 {
-    std::vector<PlannedPoint> points;
-    points.reserve(size());
-    for (const SweepGrid &grid : grids)
-        for (size_t i = 0; i < grid.size(); ++i)
-            points.push_back(grid.point(i));
-    return points;
+    std::vector<size_t> indices(last - first);
+    std::iota(indices.begin(), indices.end(), first);
+    return indices;
 }
 
 SweepPlan
@@ -610,20 +616,14 @@ parseSweepPlanFile(const std::string &path)
 }
 
 SweepSpec
-parseSweepSpec(const std::string &text, const std::string &origin,
-               const std::string &base_dir)
-{
-    SweepPlan plan = parseSweepPlan(text, origin, base_dir);
-    return {std::move(plan.name), std::move(plan.description),
-            plan.expand()};
-}
-
-SweepSpec
 parseSweepSpecFile(const std::string &path)
 {
     SweepPlan plan = parseSweepPlanFile(path);
-    return {std::move(plan.name), std::move(plan.description),
-            plan.expand()};
+    SweepSpec spec{std::move(plan.name), std::move(plan.description), {}};
+    for (const SweepGrid &grid : plan.grids)
+        for (size_t i = 0; i < grid.size(); ++i)
+            spec.points.push_back(grid.point(i));
+    return spec;
 }
 
 SweepShard
@@ -719,9 +719,10 @@ SweepSpecRunner::circuitDigestFor(
 }
 
 SweepRunStats
-SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
-                     const std::function<void(const SweepPoint &)> &emit,
-                     const SweepRunPolicy &policy, size_t batch_size)
+SweepSpecRunner::run(
+    const SweepPlan &plan, std::span<const size_t> indices,
+    const std::function<void(size_t, const SweepPoint &)> &emit,
+    const SweepRunPolicy &policy, size_t batch_size)
 {
     fatalUnless(batch_size >= 1, "batch size must be at least 1");
     SweepRunStats stats;
@@ -763,10 +764,8 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
         RunResult cached;
     };
 
-    for (size_t start = skip; start < points.size();
-         start += batch_size) {
-        const size_t end =
-            std::min(points.size(), start + batch_size);
+    for (size_t start = 0; start < indices.size(); start += batch_size) {
+        const size_t end = std::min(indices.size(), start + batch_size);
 
         // Under keepGoing a circuit that fails to load (missing QASM
         // file, parse error, fault injection in the lowering path)
@@ -781,7 +780,7 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
         std::vector<CacheSlot> cslot(end - start);
         jobs.reserve(end - start);
         for (size_t i = start; i < end; ++i) {
-            const PlannedPoint &point = points[i];
+            const PlannedPoint point = plan.point(indices[i]);
             if (cache != nullptr) {
                 // Keyed from the source circuit: only a point that
                 // misses (or a hit under cacheVerify) is lowered below.
@@ -882,14 +881,14 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
             ++stats.evaluated;
             if (!result.ok())
                 ++stats.failed;
-            emit(result);
+            emit(indices[i], result);
             // The error budget stops the sweep mid-batch: emitted
             // points stay durable, everything after them is reported
             // as unevaluated (aborted stays false when the budget
             // trips on the very last point — nothing was cut short).
             if (policy.keepGoing && policy.maxErrors > 0 &&
                 stats.failed >= policy.maxErrors &&
-                (i + 1 < end || end < points.size())) {
+                i + 1 < indices.size()) {
                 stats.aborted = true;
                 finishStats();
                 return stats;
@@ -898,14 +897,6 @@ SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
     }
     finishStats();
     return stats;
-}
-
-void
-SweepSpecRunner::run(const std::vector<PlannedPoint> &points, size_t skip,
-                     const std::function<void(const SweepPoint &)> &emit,
-                     size_t batch_size)
-{
-    run(points, skip, emit, SweepRunPolicy{}, batch_size);
 }
 
 } // namespace qccd

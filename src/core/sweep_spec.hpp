@@ -38,18 +38,19 @@
  *
  *     "search": {"budget": 16, "seed": 7, "eta": 2}
  *
- * Parsing yields a SweepPlan first — grids hold their axes as
- * pre-validated value setters and decode any point index on demand —
- * so a search can address a combinatorially large space without
- * materializing it. parseSweepSpec() is the eager wrapper that expands
- * a plan into the flat point list sweeps execute.
+ * Parsing yields a SweepPlan: grids hold their axes as pre-validated
+ * value setters and decode any point index on demand, so nothing
+ * materializes the space. Every value, "params" ranges included, is
+ * checked at parse time with its document position.
  *
- * Expanded points execute through the shared SweepEngine in batches,
- * with contiguous sharding (--shard i/n; concatenating shard outputs in
- * index order is byte-identical to the unsharded run) and append/resume
- * (completed rows already in the output CSV are skipped). Rows stream
- * through SweepRowWriter (core/export.hpp), the one formatting path
- * every sweep export shares.
+ * A run is a list of plan indices: a sweep evaluates a contiguous
+ * range (--shard i/n is the i-th of n balanced ranges; concatenating
+ * shard outputs in index order is byte-identical to the unsharded run;
+ * --resume starts past the completed rows), a search the indices it
+ * promotes. SweepSpecRunner decodes each point once and evaluates it
+ * through the shared SweepEngine in batches. Rows stream through
+ * SweepRowWriter (core/export.hpp), the one formatting path every
+ * sweep export shares.
  */
 
 #ifndef QCCD_CORE_SWEEP_SPEC_HPP
@@ -61,6 +62,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,7 +98,11 @@ struct PlannedPoint
     RunOptions options;
 };
 
-/** A parsed, fully expanded sweep specification. */
+/**
+ * A parsed sweep specification expanded into its points. Only the
+ * benchmark's tracer (perfbench/tracer.cpp) still takes this eager
+ * form; the program runs index lists of a SweepPlan.
+ */
 struct SweepSpec
 {
     /** Output stem: `qccd_explore --sweep` writes <name>.<format>. */
@@ -156,8 +162,10 @@ class SweepGrid
     /** Decode point @p index (grid-local, in [0, size())). */
     PlannedPoint point(size_t index) const;
 
-    /** The scalar-valued base every point starts from. */
+    /** The scalar-valued base every point starts from. @{ */
     const PlannedPoint &base() const { return base_; }
+    PlannedPoint &base() { return base_; }
+    /** @} */
 
   private:
     PlannedPoint base_;
@@ -166,12 +174,13 @@ class SweepGrid
 };
 
 /**
- * A parsed sweep specification with its grids kept lazy. expand() is
- * exactly the flat point list parseSweepSpec() returns; size()/point()
- * serve the search layer without materializing the space.
+ * A parsed sweep specification with its grids kept lazy: the one form
+ * a run's points take. size()/point() address the space without
+ * materializing it.
  */
 struct SweepPlan
 {
+    /** Output stem: `qccd_explore --sweep` writes <name>.<format>. */
     std::string name;
     std::string description;
     SearchSpecOptions search;
@@ -183,17 +192,26 @@ struct SweepPlan
     /** Decode absolute point @p index (spec order, grids
      *  concatenated) — the index sweeps and CSV rows use. */
     PlannedPoint point(size_t index) const;
-
-    /** Eagerly expand every grid, in spec order. */
-    std::vector<PlannedPoint> expand() const;
 };
 
-/** Lazy counterpart of parseSweepSpec (same schema, same errors). */
+/** The plan indices [@p first, @p last) in ascending order. */
+std::vector<size_t> indexRange(size_t first, size_t last);
+
+/**
+ * Parse sweep-spec text.
+ *
+ * @param text the spec document
+ * @param origin name used in error messages (e.g. the file path)
+ * @param base_dir directory "qasm:" application paths are resolved
+ *        against (empty: the current working directory)
+ * @throws ConfigError with origin:line:column on the first syntax or
+ *         schema error — malformed input never crashes
+ */
 SweepPlan parseSweepPlan(const std::string &text,
                          const std::string &origin = "sweep",
                          const std::string &base_dir = "");
 
-/** Parse a `.sweep` file into a lazy plan. */
+/** Parse a `.sweep` file; "qasm:" paths resolve relative to it. */
 SweepPlan parseSweepPlanFile(const std::string &path);
 
 /**
@@ -229,24 +247,10 @@ SweepPlan parseSweepPlan(const std::string &text,
                          JsonValue &document,
                          std::vector<SweepSpecFinding> &findings);
 
-/**
- * Parse sweep-spec text.
- *
- * @param text the spec document
- * @param origin name used in error messages (e.g. the file path)
- * @param base_dir directory "qasm:" application paths are resolved
- *        against (empty: the current working directory)
- * @throws ConfigError with origin:line:column on the first syntax or
- *         schema error — malformed input never crashes
- */
-SweepSpec parseSweepSpec(const std::string &text,
-                         const std::string &origin = "sweep",
-                         const std::string &base_dir = "");
-
-/** Parse a `.sweep` file; "qasm:" paths resolve relative to it. */
+/** parseSweepPlanFile expanded into a SweepSpec, for the tracer. */
 SweepSpec parseSweepSpecFile(const std::string &path);
 
-/** Shard selector: contiguous slice @p index of @p count. */
+/** Shard selector: contiguous index range @p index of @p count. */
 struct SweepShard
 {
     int index = 0;
@@ -323,7 +327,7 @@ struct SweepRunStats
 };
 
 /**
- * Evaluates planned points through a SweepEngine, streaming results.
+ * Evaluates plan points through a SweepEngine, streaming results.
  *
  * Each application a spec names is generated (builtin) or parsed
  * (QASM) once per runner, and lowered once, on the first point that
@@ -341,7 +345,8 @@ class SweepSpecRunner
     explicit SweepSpecRunner(SweepEngine &engine);
 
     /**
-     * Evaluate points[skip..points.size()) in order.
+     * Evaluate the points of @p plan at @p indices, in list order,
+     * decoding each once.
      *
      * Without @p policy.keepGoing the first failure propagates as an
      * exception (nothing after it is evaluated). With it, a failed
@@ -350,22 +355,17 @@ class SweepSpecRunner
      * continues; successful points are byte-identical to a fault-free
      * run either way.
      *
-     * @param points planned points (typically a shard slice)
-     * @param skip completed points to skip (resume support)
-     * @param emit called once per completed point, in input order
+     * @param indices plan indices (a shard's range, a search rung)
+     * @param emit called once per completed point, in list order, with
+     *        its plan index
      * @param policy failure isolation (see SweepRunPolicy)
      * @param batch_size points per engine batch (>= 1)
      */
     SweepRunStats
-    run(const std::vector<PlannedPoint> &points, size_t skip,
-        const std::function<void(const SweepPoint &)> &emit,
-        const SweepRunPolicy &policy,
+    run(const SweepPlan &plan, std::span<const size_t> indices,
+        const std::function<void(size_t, const SweepPoint &)> &emit,
+        const SweepRunPolicy &policy = {},
         size_t batch_size = kDefaultBatchSize);
-
-    /** Rethrow-first convenience overload (default policy). */
-    void run(const std::vector<PlannedPoint> &points, size_t skip,
-             const std::function<void(const SweepPoint &)> &emit,
-             size_t batch_size = kDefaultBatchSize);
 
     /** Points handed to the engine per run() batch by default. */
     static constexpr size_t kDefaultBatchSize = 64;

@@ -150,27 +150,49 @@ fpContractEnabled()
     return a * b + c == std::fma(a, b, c);
 }
 
-/**
- * Open the run's result store. --cache (@p cli_path) wins over the
- * "cache" paths the spec declares (@p declaredOf of each of @p items:
- * sweep passes its shard slice's points, search its grid bases), and
- * two different declared paths are refused rather than guessed
- * between. Refusals of the file itself (wrong magic, version skew, a
- * live lock owner) are ConfigErrors and abort the run; anything else,
- * an I/O failure or an injected cache.open fault, degrades to a cold
- * run, which by contract produces the same bytes. Null: no store.
- */
-template <typename Items, typename DeclaredOf>
-std::unique_ptr<ResultStore>
-openRunStore(const std::string &cli_path, bool verify, const Items &items,
-             DeclaredOf declaredOf)
+/** The flags --sweep and --search share; --jobs and
+ *  --point-timeout-ms also reach --recommend and single runs. */
+struct RunCliOptions
 {
-    std::string path = cli_path;
-    if (cli_path.empty()) {
-        for (const auto &item : items) {
-            const std::string &declared = declaredOf(item);
-            if (declared.empty())
-                continue;
+    int jobs = 0;           // 0: QCCD_JOBS env, then all cores
+    int pointTimeoutMs = 0; // 0: no override
+    std::string cachePath;  // empty: spec option, then no cache
+    bool cacheVerify = false;
+};
+
+/** Parse @p file, with --point-timeout-ms on every point: set on each
+ *  grid's base, since no axis sets the timeout. */
+SweepPlan
+loadPlan(const std::string &file, const RunCliOptions &run)
+{
+    SweepPlan plan = parseSweepPlanFile(file);
+    if (run.pointTimeoutMs > 0)
+        for (SweepGrid &grid : plan.grids)
+            grid.base().options.pointTimeoutMs = run.pointTimeoutMs;
+    return plan;
+}
+
+/**
+ * Open the run's result store. --cache wins over the "cache" paths the
+ * spec declares on the grids holding points of the evaluated range
+ * [@p first, @p last), and two different declared paths are refused
+ * rather than guessed between. Refusals of the file itself (wrong
+ * magic, version skew, a live lock owner) are ConfigErrors and abort
+ * the run; anything else, an I/O failure or an injected cache.open
+ * fault, degrades to a cold run, which by contract produces the same
+ * bytes. Null: no store.
+ */
+std::unique_ptr<ResultStore>
+openRunStore(const RunCliOptions &run, const SweepPlan &plan, size_t first,
+             size_t last)
+{
+    std::string path = run.cachePath;
+    size_t grid_first = 0;
+    for (const SweepGrid &grid : plan.grids) {
+        const size_t grid_last = grid_first + grid.size();
+        const std::string &declared = grid.base().options.cachePath;
+        if (run.cachePath.empty() && !declared.empty() &&
+            grid_first < last && first < grid_last) {
             if (!path.empty() && path != declared)
                 throw ConfigError("sweep spec declares conflicting cache "
                                   "paths ('" + path + "' vs '" +
@@ -178,8 +200,9 @@ openRunStore(const std::string &cli_path, bool verify, const Items &items,
                                   "'); use one, or override with --cache");
             path = declared;
         }
+        grid_first = grid_last;
     }
-    fatalUnless(!verify || !path.empty(),
+    fatalUnless(!run.cacheVerify || !path.empty(),
                 "--cache-verify requires a result store (--cache FILE "
                 "or the spec's \"cache\" option)");
     if (path.empty())
@@ -214,6 +237,27 @@ printCacheLine(const ResultStore *store, bool verify, size_t divergent)
     std::cout << "\n";
 }
 
+/** Greppable staged-evaluation provenance ("^staged:"): how many
+ *  points paid a full schedule vs. rode a model-log replay. */
+void
+printStagedLine(const SweepRunStats &stats)
+{
+    std::cout << "staged: " << stats.fullSchedules << " full, "
+              << stats.replays << " replayed\n";
+}
+
+/** Greppable search provenance ("^search:"): CI asserts evaluated
+ *  stays within the budget fraction of the declared space. */
+void
+printSearchLine(const SearchStats &stats)
+{
+    std::cout << "search: space=" << stats.space
+              << " budget=" << stats.budget
+              << " evaluated=" << stats.evaluated
+              << " calibration=" << stats.calibration
+              << " rungs=" << stats.rungs << "\n";
+}
+
 /** Report @p divergent cache records as an error; true if any. */
 bool
 cacheDiverged(const ResultStore *store, size_t divergent)
@@ -227,7 +271,7 @@ cacheDiverged(const ResultStore *store, size_t divergent)
     return true;
 }
 
-/** Everything --sweep mode needs beyond the shared engine knobs. */
+/** Everything --sweep mode needs beyond RunCliOptions. */
 struct SweepCliOptions
 {
     std::string outFile;
@@ -235,17 +279,14 @@ struct SweepCliOptions
     std::string shardText;
     bool resume = false;
     bool keepGoing = false;
-    int maxErrors = 0;       // 0: unlimited
-    int pointTimeoutMs = 0;  // 0: no override
-    int jobs = 0;
-    std::string cachePath;   // empty: spec option, then no cache
-    bool cacheVerify = false;
+    int maxErrors = 0; // 0: unlimited
 };
 
 int
-runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
+runSweepMode(const std::string &sweep_file, const SweepCliOptions &cli,
+             const RunCliOptions &run)
 {
-    const SweepSpec spec = parseSweepSpecFile(sweep_file);
+    const SweepPlan plan = loadPlan(sweep_file, run);
     std::string out_file = cli.outFile;
 
     ExportFormat format = ExportFormat::Csv;
@@ -262,7 +303,7 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         // Sharded runs get distinct default names: with a shared
         // default, shard 1 would truncate shard 0's freshly written
         // output in the same directory.
-        std::string stem = spec.name;
+        std::string stem = plan.name;
         if (shard.count > 1)
             stem += ".shard" + std::to_string(shard.index) + "of" +
                     std::to_string(shard.count);
@@ -277,20 +318,10 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
                 "--keep-going requires CSV output (the .errors "
                 "sidecar is CSV)");
 
-    const auto [first, last] =
-        shardRange(spec.points.size(), shard.index, shard.count);
-    std::vector<PlannedPoint> slice(
-        spec.points.begin() + static_cast<long>(first),
-        spec.points.begin() + static_cast<long>(last));
-    if (cli.pointTimeoutMs > 0)
-        for (PlannedPoint &point : slice)
-            point.options.pointTimeoutMs = cli.pointTimeoutMs;
-
-    const std::unique_ptr<ResultStore> store = openRunStore(
-        cli.cachePath, cli.cacheVerify, slice,
-        [](const PlannedPoint &point) -> const std::string & {
-            return point.options.cachePath;
-        });
+    const size_t total = plan.size();
+    const auto [first, last] = shardRange(total, shard.index, shard.count);
+    const std::unique_ptr<ResultStore> store =
+        openRunStore(run, plan, first, last);
 
     // Shard 0 owns the header so that concatenating shard files in
     // index order reproduces the unsharded export byte-for-byte.
@@ -298,24 +329,23 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
     const std::string errors_path = out_file + ".errors";
     ResumeState state;
     if (cli.resume)
-        state = analyzeResume(out_file, with_header, cli.keepGoing,
-                              slice, first);
+        state = analyzeResume(out_file, with_header, cli.keepGoing, plan,
+                              first, last);
     else
         std::remove(errors_path.c_str()); // stale sidecar of an old run
     const size_t done = state.done;
 
-    std::cout << "sweep " << spec.name << ": " << spec.points.size()
-              << " points";
+    std::cout << "sweep " << plan.name << ": " << total << " points";
     if (shard.count > 1)
         std::cout << ", shard " << shard.index << "/" << shard.count
                   << " covers [" << first << ", " << last << ")";
     if (done > 0)
         std::cout << ", resuming past " << done << " completed points";
-    std::cout << ", " << SweepEngine::resolveJobs(cli.jobs)
+    std::cout << ", " << SweepEngine::resolveJobs(run.jobs)
               << " workers\n";
 
     size_t failures_total = state.failedIndices.size();
-    if (done == slice.size()) {
+    if (done == last - first) {
         std::cout << out_file << " is already complete ("
                   << state.csvRows << " rows";
         if (failures_total > 0)
@@ -341,7 +371,7 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
     // fault-free --keep-going run leaves no .errors file at all.
     std::ofstream errors_out;
     const bool sidecar_exists = !state.failedIndices.empty();
-    auto recordFailure = [&](size_t absolute, const SweepPoint &point) {
+    auto recordFailure = [&](size_t index, const SweepPoint &point) {
         if (!errors_out.is_open()) {
             errors_out.open(errors_path, sidecar_exists
                                              ? std::ios::app
@@ -354,39 +384,33 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         }
         // One flushed line per failure, same crash-safety contract as
         // the data CSV: a kill tears at most the final line.
-        errors_out << sweepErrorRow(absolute, point) << '\n';
+        errors_out << sweepErrorRow(index, point) << '\n';
         errors_out.flush();
         if (!errors_out.good())
             throw ConfigError("error writing '" + errors_path + "'");
         ++failures_total;
     };
 
-    SweepEngine engine(cli.jobs);
+    SweepEngine engine(run.jobs);
     SweepSpecRunner runner(engine);
     SweepRunPolicy policy;
     policy.keepGoing = cli.keepGoing;
     policy.maxErrors = static_cast<size_t>(cli.maxErrors);
     policy.cache = store.get();
-    policy.cacheVerify = cli.cacheVerify;
-    size_t next_index = first + done;
+    policy.cacheVerify = run.cacheVerify;
     const SweepRunStats stats =
-        runner.run(slice, done,
-                   [&](const SweepPoint &point) {
+        runner.run(plan, indexRange(first + done, last),
+                   [&](size_t index, const SweepPoint &point) {
                        if (point.ok())
                            writer.write(point);
                        else
-                           recordFailure(next_index, point);
-                       ++next_index;
+                           recordFailure(index, point);
                    },
                    policy);
     writer.finish();
 
-    // Greppable staged-evaluation provenance ("^staged:"): how many
-    // points paid a full schedule vs. rode a model-log replay.
-    std::cout << "staged: " << stats.fullSchedules << " full, "
-              << stats.replays << " replayed\n";
-
-    printCacheLine(store.get(), cli.cacheVerify, stats.cacheDivergent);
+    printStagedLine(stats);
+    printCacheLine(store.get(), run.cacheVerify, stats.cacheDivergent);
     if (cacheDiverged(store.get(), stats.cacheDivergent))
         return 1;
 
@@ -394,7 +418,7 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
         std::cerr << "error: stopping after " << stats.failed
                   << " failed point(s) (--max-errors "
                   << cli.maxErrors << "); "
-                  << (slice.size() - done - stats.evaluated)
+                  << (last - first - done - stats.evaluated)
                   << " point(s) not evaluated\n";
         return 1;
     }
@@ -408,64 +432,32 @@ runSweepMode(const std::string &sweep_file, SweepCliOptions cli)
     return failures_total > 0 ? 3 : 0;
 }
 
-/** Everything --search mode needs beyond the shared engine knobs. */
+/** Everything --search mode needs beyond RunCliOptions. */
 struct SearchCliOptions
 {
     std::string reportFile;
-    size_t budget = 0;      // 0: spec "search" block, then space/4
+    size_t budget = 0; // 0: spec "search" block, then space/4
     bool haveSeed = false;
     uint64_t seed = 0;
-    int pointTimeoutMs = 0; // 0: no override
-    int jobs = 0;
-    std::string cachePath;  // empty: spec option, then no cache
-    bool cacheVerify = false;
-};
-
-/** The plan's lazy space with CLI point overrides applied on decode. */
-class CliSearchSpace : public SearchSpace
-{
-  public:
-    CliSearchSpace(const SweepPlan &plan, int point_timeout_ms)
-        : plan_(plan), pointTimeoutMs_(point_timeout_ms)
-    {
-    }
-    size_t size() const override { return plan_.size(); }
-    PlannedPoint point(size_t index) const override
-    {
-        PlannedPoint point = plan_.point(index);
-        if (pointTimeoutMs_ > 0)
-            point.options.pointTimeoutMs = pointTimeoutMs_;
-        return point;
-    }
-
-  private:
-    const SweepPlan &plan_;
-    int pointTimeoutMs_;
 };
 
 int
-runSearchMode(const std::string &search_file, SearchCliOptions cli)
+runSearchMode(const std::string &search_file, const SearchCliOptions &cli,
+              const RunCliOptions &run)
 {
-    const SweepPlan plan = parseSweepPlanFile(search_file);
-
-    // The "cache" option is grid-level, so the grid bases carry it: no
-    // need to expand the space to find it.
-    const std::unique_ptr<ResultStore> store = openRunStore(
-        cli.cachePath, cli.cacheVerify, plan.grids,
-        [](const SweepGrid &grid) -> const std::string & {
-            return grid.base().options.cachePath;
-        });
+    const SweepPlan plan = loadPlan(search_file, run);
+    const std::unique_ptr<ResultStore> store =
+        openRunStore(run, plan, 0, plan.size());
 
     SearchOptions options;
     options.budget = cli.budget != 0 ? cli.budget : plan.search.budget;
     options.seed = cli.haveSeed ? cli.seed : plan.search.seed;
     options.eta = plan.search.eta;
     options.policy.cache = store.get();
-    options.policy.cacheVerify = cli.cacheVerify;
+    options.policy.cacheVerify = run.cacheVerify;
 
-    SweepEngine engine(cli.jobs);
+    SweepEngine engine(run.jobs);
     SearchEngine search(engine);
-    const CliSearchSpace space(plan, cli.pointTimeoutMs);
 
     // Open the audit CSV before spending any budget: an unwritable
     // report path must fail fast, not after the search ran.
@@ -476,11 +468,11 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
     if (!report.good())
         throw ConfigError("cannot write file '" + report_file + "'");
 
-    std::cout << "search " << plan.name << ": " << space.size()
+    std::cout << "search " << plan.name << ": " << plan.size()
               << " points, "
-              << SweepEngine::resolveJobs(cli.jobs) << " workers\n";
+              << SweepEngine::resolveJobs(run.jobs) << " workers\n";
 
-    const SearchOutcome outcome = search.run(space, options);
+    const SearchOutcome outcome = search.run(plan, options);
 
     // The audit CSV: header + one --sweep-identical row per real
     // evaluation, ascending by spec index.
@@ -491,18 +483,9 @@ runSearchMode(const std::string &search_file, SearchCliOptions cli)
     writer.finish();
 
     const SearchStats &stats = outcome.stats;
-    std::cout << "staged: " << stats.run.fullSchedules << " full, "
-              << stats.run.replays << " replayed\n";
-    printCacheLine(store.get(), cli.cacheVerify,
-                   stats.run.cacheDivergent);
-
-    // Greppable provenance ("^search:"): CI asserts evaluated stays
-    // within the budget fraction of the declared space.
-    std::cout << "search: space=" << stats.space
-              << " budget=" << stats.budget
-              << " evaluated=" << stats.evaluated
-              << " calibration=" << stats.calibration
-              << " rungs=" << stats.rungs << "\n";
+    printStagedLine(stats.run);
+    printCacheLine(store.get(), run.cacheVerify, stats.run.cacheDivergent);
+    printSearchLine(stats);
     fatalUnless(outcome.haveWinner, "search produced no result");
     std::cout << "winner: " << sweepCsvRow(outcome.winner) << "\n";
     std::cout << "wrote " << writer.rowsWritten() << " rows to "
@@ -525,8 +508,8 @@ main(int argc, char **argv)
     int trace_ops = 0;
     bool analyze = false;
     bool recommend = false;
-    int jobs = 0; // 0: resolve via QCCD_JOBS / hardware concurrency
     std::string isa_file;
+    RunCliOptions run_cli;
     std::string sweep_file;
     SweepCliOptions sweep_cli;
     std::string search_file;
@@ -628,8 +611,8 @@ main(int argc, char **argv)
             } else if (arg == "--recommend") {
                 recommend = true;
             } else if (arg == "--jobs") {
-                jobs = intValue();
-                fatalUnless(jobs >= 1,
+                run_cli.jobs = intValue();
+                fatalUnless(run_cli.jobs >= 1,
                             "--jobs must be at least 1");
             } else if (arg == "--emit-isa") {
                 isa_file = value();
@@ -672,15 +655,15 @@ main(int argc, char **argv)
                             "--max-errors must be at least 1");
                 sweep_cli.keepGoing = true;
             } else if (arg == "--point-timeout-ms") {
-                sweep_cli.pointTimeoutMs = intValue();
-                fatalUnless(sweep_cli.pointTimeoutMs >= 1,
+                run_cli.pointTimeoutMs = intValue();
+                fatalUnless(run_cli.pointTimeoutMs >= 1,
                             "--point-timeout-ms must be at least 1");
             } else if (arg == "--cache") {
-                sweep_cli.cachePath = value();
-                fatalUnless(!sweep_cli.cachePath.empty(),
+                run_cli.cachePath = value();
+                fatalUnless(!run_cli.cachePath.empty(),
                             "--cache needs a file path");
             } else if (arg == "--cache-verify") {
-                sweep_cli.cacheVerify = true;
+                run_cli.cacheVerify = true;
             } else if (arg == "--decompose") {
                 options.decomposeRuntime = true;
             } else if (arg == "--trace") {
@@ -704,10 +687,8 @@ main(int argc, char **argv)
                          search_cli.reportFile.empty()),
                     "--search-budget/--search-seed/--search-report "
                     "require --search");
-        if (!sweep_file.empty()) {
-            sweep_cli.jobs = jobs;
-            return runSweepMode(sweep_file, sweep_cli);
-        }
+        if (!sweep_file.empty())
+            return runSweepMode(sweep_file, sweep_cli, run_cli);
         if (!search_file.empty()) {
             // Exhaustive-output plumbing makes no sense under a
             // budgeted search; the audit CSV replaces --out.
@@ -718,27 +699,22 @@ main(int argc, char **argv)
                             sweep_cli.maxErrors == 0,
                         "--out/--format/--shard/--resume/--keep-going/"
                         "--max-errors require --sweep");
-            search_cli.jobs = jobs;
-            search_cli.pointTimeoutMs = sweep_cli.pointTimeoutMs;
-            search_cli.cachePath = sweep_cli.cachePath;
-            search_cli.cacheVerify = sweep_cli.cacheVerify;
-            return runSearchMode(search_file, search_cli);
+            return runSearchMode(search_file, search_cli, run_cli);
         }
         fatalUnless(sweep_cli.outFile.empty() &&
                         sweep_cli.formatName.empty() &&
                         sweep_cli.shardText.empty() &&
                         !sweep_cli.resume && !sweep_cli.keepGoing &&
                         sweep_cli.maxErrors == 0 &&
-                        sweep_cli.cachePath.empty() &&
-                        !sweep_cli.cacheVerify,
+                        run_cli.cachePath.empty() && !run_cli.cacheVerify,
                     "--out/--format/--shard/--resume/--keep-going/"
                     "--max-errors/--cache/--cache-verify require "
                     "--sweep");
 
         // The watchdog also guards single-point runs: a hung schedule
         // becomes a clean TimeoutError instead of a stuck process.
-        if (sweep_cli.pointTimeoutMs > 0)
-            options.pointTimeoutMs = sweep_cli.pointTimeoutMs;
+        if (run_cli.pointTimeoutMs > 0)
+            options.pointTimeoutMs = run_cli.pointTimeoutMs;
 
         const Circuit circuit = qasm_file.empty()
                                     ? makeBenchmark(app)
@@ -756,64 +732,28 @@ main(int argc, char **argv)
             // Surrogate-guided: the paper's candidate space is ranked
             // by the cost model and only the predicted frontier is
             // really simulated (a quarter of the fitting candidates),
-            // through the same SearchEngine as --search.
-            SweepEngine engine(jobs);
-            const auto native = SweepEngine::lower(circuit);
-            const CandidateSpace space;
-            std::vector<PlannedPoint> candidates;
-            candidates.reserve(space.size());
-            for (const std::string &topo : space.topologies) {
-                for (int cap : space.capacities) {
-                    for (GateImpl gate : space.gates) {
-                        for (ReorderMethod reorder : space.reorders) {
-                            DesignPoint dp;
-                            dp.topologySpec = topo;
-                            dp.trapCapacity = cap;
-                            dp.hw.gateImpl = gate;
-                            dp.hw.reorder = reorder;
-                            if (engine.context(dp)
-                                    ->topology()
-                                    .totalCapacity() <
-                                circuit.numQubits())
-                                continue; // application does not fit
-                            PlannedPoint point;
-                            point.application = name;
-                            point.native = native;
-                            point.design = dp;
-                            candidates.push_back(std::move(point));
-                        }
-                    }
-                }
-            }
-            fatalUnless(!candidates.empty(),
-                        "no candidate design fits the application");
-            std::cout << "searching " << candidates.size()
+            // through the same SearchEngine as --search. Every
+            // candidate carries the run's other knobs and options.
+            SweepEngine engine(run_cli.jobs);
+            PlannedPoint base;
+            base.application = name;
+            base.native = SweepEngine::lower(circuit);
+            base.design = design;
+            base.options = options;
+            const SweepPlan plan = CandidateSpace{}.plan(base, engine);
+            std::cout << "searching " << plan.size()
                       << " candidate designs on "
-                      << SweepEngine::resolveJobs(jobs)
+                      << SweepEngine::resolveJobs(run_cli.jobs)
                       << " workers...\n";
-            SearchEngine search(engine);
             const SearchOutcome outcome =
-                search.run(PointsSearchSpace(candidates), {});
+                SearchEngine(engine).run(plan, {});
             std::vector<RankedDesign> ranking;
             ranking.reserve(outcome.evaluations.size());
             for (const SearchEvaluation &ev : outcome.evaluations)
-                if (ev.point.ok())
-                    ranking.emplace_back(ev.point.design,
-                                         ev.point.result);
-            std::stable_sort(
-                ranking.begin(), ranking.end(),
-                [](const RankedDesign &a, const RankedDesign &b) {
-                    if (a.score() != b.score())
-                        return a.score() > b.score();
-                    return a.result.totalTime() <
-                           b.result.totalTime();
-                });
-            const SearchStats &stats = outcome.stats;
-            std::cout << "search: space=" << stats.space
-                      << " budget=" << stats.budget
-                      << " evaluated=" << stats.evaluated
-                      << " calibration=" << stats.calibration
-                      << " rungs=" << stats.rungs << "\n";
+                ranking.emplace_back(ev.point.design, ev.point.result);
+            std::stable_sort(ranking.begin(), ranking.end(),
+                             RankedDesign::before);
+            printSearchLine(outcome.stats);
             std::cout << rankingTable(ranking, 10);
             std::cout << "recommended: "
                       << outcome.winner.design.label() << "\n";

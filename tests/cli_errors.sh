@@ -193,7 +193,15 @@ expect_error "spec capacity 1" "cap1\.sweep:1:.*at least 2" \
     --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv"
 expect_error "spec capacity 1, keep-going" "cap1\.sweep:1:.*at least 2" \
     --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv" --keep-going
-if [[ -e "$scratch/cap1.csv" || -e "$scratch/cap1.csv.errors" ]]; then
+# A "params" value outside its model's range is such a bound too.
+echo '{"name": "x", "sweeps": [{"apps": "bv", "params": [{"kappa": -1}]}]}' \
+    > "$scratch/badparam.sweep"
+want_status=1 expect_error "spec param out of range, keep-going" \
+    "badparam\.sweep:1:.*kappa must be non-negative" \
+    --sweep "$scratch/badparam.sweep" --out "$scratch/badparam.csv" \
+    --keep-going
+if [[ -e "$scratch/cap1.csv" || -e "$scratch/cap1.csv.errors" ||
+      -e "$scratch/badparam.csv" || -e "$scratch/badparam.csv.errors" ]]; then
     echo "FAIL: a spec refused at parse time left an output file" >&2
     failures=$((failures + 1))
 else
@@ -293,6 +301,46 @@ if [[ $status -eq 0 && ! -e "$scratch/kg.csv.errors" ]]; then
 else
     echo "FAIL: fault-free keep-going: exit $status," \
          "sidecar $([[ -e "$scratch/kg.csv.errors" ]] && echo present || echo absent)" >&2
+    failures=$((failures + 1))
+fi
+
+# --point-timeout-ms reaches every point of a sweep, a search and a
+# --recommend run. One squareroot schedule pass can finish inside 1 ms,
+# so the spec runs two passes (decompose_runtime) under the one
+# deadline; which stage trips it varies, so only the outcome is matched.
+cat > "$scratch/deadline.sweep" <<'EOF'
+{"name": "deadline", "search": {"budget": 2}, "sweeps": [{
+  "apps": ["qft", "squareroot"], "capacity": 14, "gate": "AM1",
+  "reorder": "IS", "options": {"decompose_runtime": true}}]}
+EOF
+"$EXPLORE" --sweep "$scratch/deadline.sweep" --out "$scratch/deadline.csv" \
+    --keep-going --point-timeout-ms 1 > /dev/null 2>&1
+status=$?
+timeouts=$(grep -c ',timeout,"point exceeded its 1 ms deadline' \
+    "$scratch/deadline.csv.errors" 2>/dev/null)
+if [[ $status -eq 3 && $timeouts -eq 2 ]]; then
+    echo "ok: --point-timeout-ms times out every sweep point (exit 3)"
+else
+    echo "FAIL: sweep --point-timeout-ms 1: exit $status," \
+         "$timeouts timeout rows (want 3/2)" >&2
+    failures=$((failures + 1))
+fi
+want_status=1 expect_error "search --point-timeout-ms" "1 ms deadline" \
+    --search "$scratch/deadline.sweep" \
+    --search-report "$scratch/deadline.search.csv" --point-timeout-ms 1
+want_status=1 expect_error "recommend --point-timeout-ms" "1 ms deadline" \
+    --app qft --recommend --point-timeout-ms 1
+"$EXPLORE" --sweep "$scratch/deadline.sweep" \
+    --out "$scratch/deadline0.csv" --keep-going > /dev/null 2>&1
+sweep_status=$?
+"$EXPLORE" --search "$scratch/deadline.sweep" \
+    --search-report "$scratch/deadline0.search.csv" > /dev/null 2>&1
+search_status=$?
+if [[ $sweep_status -eq 0 && $search_status -eq 0 ]]; then
+    echo "ok: without --point-timeout-ms the same sweep and search pass"
+else
+    echo "FAIL: deadline spec without the flag: sweep exit" \
+         "$sweep_status, search exit $search_status (want 0/0)" >&2
     failures=$((failures + 1))
 fi
 

@@ -41,17 +41,17 @@ class FaultsTest : public ::testing::Test
 /** qft at capacity 14 evicts and shuttles heavily, so one point hits
  *  every scheduler/router/shuttle site; capacity 18 is the survivor
  *  that must stay bit-identical. */
-std::vector<PlannedPoint>
+SweepPlan
 twoPoints()
 {
-    return parseSweepSpec(R"({
+    return parseSweepPlan(R"({
         "name": "faults",
         "sweeps": [{"apps": "qft", "capacity": [14, 18]}]
-    })").points;
+    })");
 }
 
 std::vector<SweepPoint>
-runKeepGoing(const std::vector<PlannedPoint> &points,
+runKeepGoing(const SweepPlan &plan,
              SweepRunStats *stats = nullptr, size_t max_errors = 0)
 {
     SweepEngine engine(1); // one worker: the faulting point is fixed
@@ -61,7 +61,8 @@ runKeepGoing(const std::vector<PlannedPoint> &points,
     policy.maxErrors = max_errors;
     std::vector<SweepPoint> out;
     const SweepRunStats s = runner.run(
-        points, 0, [&](const SweepPoint &p) { out.push_back(p); },
+        plan, indexRange(0, plan.size()),
+        [&](size_t, const SweepPoint &p) { out.push_back(p); },
         policy);
     if (stats != nullptr)
         *stats = s;
@@ -178,20 +179,21 @@ TEST_F(FaultsTest, RethrowPolicyIsStillTheDefault)
     SweepEngine engine(1);
     SweepSpecRunner runner(engine);
     EXPECT_THROW(
-        runner.run(twoPoints(), 0, [](const SweepPoint &) {}),
+        runner.run(twoPoints(), indexRange(0, 2),
+                   [](size_t, const SweepPoint &) {}),
         InternalError);
 }
 
 TEST_F(FaultsTest, MaxErrorsStopsTheSweepMidBatch)
 {
-    const std::vector<PlannedPoint> points = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "budget",
         "sweeps": [{"apps": "qft", "capacity": [14, 18, 22]}]
-    })").points;
+    })");
     setFaultInjectSpec("toolflow.run=1,toolflow.run=2");
     SweepRunStats stats;
     const std::vector<SweepPoint> got =
-        runKeepGoing(points, &stats, 2);
+        runKeepGoing(plan, &stats, 2);
     EXPECT_TRUE(stats.aborted);
     EXPECT_EQ(stats.evaluated, 2u);
     EXPECT_EQ(stats.failed, 2u);
@@ -213,11 +215,14 @@ TEST_F(FaultsTest, BudgetTrippedOnTheLastPointIsNotAnAbort)
 
 TEST_F(FaultsTest, UnloadableCircuitIsAPointFailureNotASweepFailure)
 {
-    std::vector<PlannedPoint> points = twoPoints();
-    points[0].application = "ghost";
-    points[0].qasmPath = "/nonexistent/ghost.qasm";
+    const SweepPlan plan = parseSweepPlan(R"({
+        "name": "ghost",
+        "sweeps": [{"apps": "qasm:/nonexistent/ghost.qasm",
+                    "capacity": 14},
+                   {"apps": "qft", "capacity": 18}]
+    })");
     SweepRunStats stats;
-    const std::vector<SweepPoint> got = runKeepGoing(points, &stats);
+    const std::vector<SweepPoint> got = runKeepGoing(plan, &stats);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].outcome, PointOutcome::Infeasible);
     EXPECT_EQ(got[0].application, "ghost");

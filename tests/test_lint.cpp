@@ -193,6 +193,31 @@ TEST(LintSweep, CapacityAndBufferBounds)
     EXPECT_TRUE(hasCode(report, "bad-buffer"));
 }
 
+TEST(LintSweep, ParamsOutsideTheirModelRange)
+{
+    // Each value is checked on its own; a rejected value leaves the
+    // axis with nothing after it (no empty-axis cascade).
+    const LintReport report = lintSpec(
+        "{\"name\": \"x\", \"sweeps\": [{\"apps\": \"qft\",\n"
+        " \"params\": [{\"kappa\": -1}, {\"buffer_slots\": -3},"
+        " {\"recool_factor\": 2}]}]}");
+    std::vector<const LintDiagnostic *> bad;
+    for (const LintDiagnostic &d : report.diagnostics)
+        if (d.code == "bad-param")
+            bad.push_back(&d);
+    ASSERT_EQ(bad.size(), 3u) << report.toString();
+    EXPECT_EQ(report.errorCount(), 3u) << report.toString();
+    const std::pair<int, const char *> want[] = {
+        {23, "kappa must be non-negative"},
+        {45, "buffer slots must be non-negative"},
+        {68, "recool factor must be in (0, 1]"}};
+    for (size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_EQ(bad[i]->line, 2) << i;
+        EXPECT_EQ(bad[i]->column, want[i].first) << i;
+        EXPECT_EQ(bad[i]->message, want[i].second) << i;
+    }
+}
+
 TEST(LintSweep, GridPastExpansionCapIsFlagged)
 {
     // 1100 x 1000 > kMaxSweepPoints (2^20): flagged statically, no
@@ -538,6 +563,12 @@ TEST(LintParserAgreement, SchemaFixtures)
         R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": [1e10]}]})",
         R"({"name": "x", "sweeps": [{"apps": "qft", "capacity": 1}]})",
         R"({"name": "x", "sweeps": [{"apps": "qft", "buffer": -1}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"kappa": -1}}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"buffer_slots": -3}}]})",
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"recool_factor": 2}}]})",
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "options": {"point_timeout_ms": 1e12}}]})",
         R"({"name": "x", "search": {"seed": -1}, "sweeps": [{"apps": "qft"}]})",

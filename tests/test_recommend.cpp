@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "benchgen/benchgen.hpp"
 #include "common/error.hpp"
+#include "compiler/mapping.hpp"
 #include "core/recommend.hpp"
+#include "core/sweep_engine.hpp"
 
 namespace qccd
 {
@@ -21,6 +25,63 @@ smallSpace()
     space.gates = {GateImpl::AM2, GateImpl::FM};
     space.reorders = {ReorderMethod::GS};
     return space;
+}
+
+/** A base point around a @p qubits-wide circuit; the plan reads only
+ *  its width. */
+PlannedPoint
+baseFor(int qubits)
+{
+    PlannedPoint base;
+    base.application = "wide";
+    base.native = std::make_shared<const Circuit>(qubits, "wide");
+    return base;
+}
+
+TEST(Recommend, PlanKeepsTheLoopOrderAndLeavesOutWhatDoesNotFit)
+{
+    // Six traps of 14 hold 84 ions on either topology: 90 qubits fit
+    // every larger capacity but not 14, and 84 qubits fit them all.
+    SweepEngine engine(1);
+    const CandidateSpace space;
+    const SweepPlan plan = space.plan(baseFor(90), engine);
+    size_t index = 0;
+    for (const std::string &topo : space.topologies)
+        for (const int cap : space.capacities)
+            for (const GateImpl gate : space.gates)
+                for (const ReorderMethod reorder : space.reorders) {
+                    if (cap == 14)
+                        continue;
+                    ASSERT_LT(index, plan.size());
+                    const PlannedPoint point = plan.point(index++);
+                    EXPECT_EQ(point.design.topologySpec, topo);
+                    EXPECT_EQ(point.design.trapCapacity, cap);
+                    EXPECT_EQ(point.design.hw.gateImpl, gate);
+                    EXPECT_EQ(point.design.hw.reorder, reorder);
+                }
+    EXPECT_EQ(plan.size(), index);
+    EXPECT_EQ(plan.size(), 2u * 5u * 4u * 2u);
+    EXPECT_EQ(space.plan(baseFor(84), engine).size(), space.size());
+}
+
+TEST(Recommend, BaseKnobsAndOptionsReachEveryCandidate)
+{
+    SweepEngine engine(1);
+    PlannedPoint base = baseFor(16);
+    base.design.hw.bufferSlots = 0;
+    base.options.mappingPolicy = MappingPolicy::Balanced;
+    base.options.pointTimeoutMs = 250;
+    const SweepPlan plan = CandidateSpace{}.plan(base, engine);
+    ASSERT_EQ(plan.size(), CandidateSpace{}.size());
+    for (size_t i = 0; i < plan.size(); ++i) {
+        const PlannedPoint point = plan.point(i);
+        EXPECT_EQ(point.application, "wide");
+        EXPECT_EQ(point.native, base.native);
+        EXPECT_EQ(point.design.hw.bufferSlots, 0) << i;
+        EXPECT_EQ(point.options.mappingPolicy, MappingPolicy::Balanced)
+            << i;
+        EXPECT_EQ(point.options.pointTimeoutMs, 250) << i;
+    }
 }
 
 TEST(Recommend, SpaceSizeIsProduct)

@@ -886,12 +886,12 @@ class CachedRunnerTest : public ::testing::Test
   protected:
     void TearDown() override { clearFaultInject(); }
 
-    static std::vector<PlannedPoint> threePoints()
+    static SweepPlan threePoints()
     {
-        return parseSweepSpec(R"({
+        return parseSweepPlan(R"({
             "name": "cache",
             "sweeps": [{"apps": "qft", "capacity": [14, 18, 22]}]
-        })").points;
+        })");
     }
 
     /** Run the three points and render each emitted row. */
@@ -905,8 +905,8 @@ class CachedRunnerTest : public ::testing::Test
         policy.cacheVerify = verify;
         std::vector<std::string> rows;
         const SweepRunStats s = runner.run(
-            threePoints(), 0,
-            [&](const SweepPoint &p) {
+            threePoints(), indexRange(0, 3),
+            [&](size_t, const SweepPoint &p) {
                 rows.push_back(sweepCsvRow(p));
             },
             policy);
@@ -1042,9 +1042,13 @@ TEST_F(CachedRunnerTest, FreedCallerCircuitCannotLendItsDigest)
         point.application = "memo";
         point.native = std::move(native);
         point.design = DesignPoint::linear(6, 22);
-        return runner.run({point}, 0,
-                          [&](const SweepPoint &p) { *result = p.result; },
-                          policy);
+        SweepPlan plan;
+        plan.grids.emplace_back(std::move(point),
+                                std::vector<SweepGrid::Axis>{});
+        return runner.run(
+            plan, indexRange(0, 1),
+            [&](size_t, const SweepPoint &p) { *result = p.result; },
+            policy);
     };
 
     std::shared_ptr<const Circuit> a = lowered(false);

@@ -53,13 +53,13 @@ fileExists(const std::string &path)
 }
 
 /** Four points: qft/bv at capacities 14 and 18 (apps vary slowest). */
-std::vector<PlannedPoint>
+SweepPlan
 plannedPoints()
 {
-    return parseSweepSpec(R"({
+    return parseSweepPlan(R"({
         "name": "resume",
         "sweeps": [{"apps": ["qft", "bv"], "capacity": [14, 18]}]
-    })").points;
+    })");
 }
 
 /** A data row whose identifying prefix matches @p app/@p capacity; the
@@ -120,7 +120,7 @@ TEST(LoadHealedLines, FileWithOnlyATornLineHealsToEmpty)
 TEST(AnalyzeResume, FreshOutputMeansNothingDone)
 {
     const ResumeState state = analyzeResume(
-        pathIn("fresh.csv"), true, false, plannedPoints(), 0);
+        pathIn("fresh.csv"), true, false, plannedPoints(), 0, 4);
     EXPECT_EQ(state.done, 0u);
     EXPECT_EQ(state.csvRows, 0u);
     EXPECT_TRUE(state.csvEmpty);
@@ -132,7 +132,7 @@ TEST(AnalyzeResume, ValidPrefixIsCountedAndVerified)
     writeFile(path, sweepCsvHeader() + "\n" + row("qft", 14) + "\n" +
                         row("qft", 18) + "\n");
     const ResumeState state =
-        analyzeResume(path, true, false, plannedPoints(), 0);
+        analyzeResume(path, true, false, plannedPoints(), 0, 4);
     EXPECT_EQ(state.done, 2u);
     EXPECT_EQ(state.csvRows, 2u);
     EXPECT_FALSE(state.csvEmpty);
@@ -143,7 +143,7 @@ TEST(AnalyzeResume, WrongHeaderIsRefused)
 {
     const std::string path = pathIn("hdr.csv");
     writeFile(path, "app,topo\nqft,linear:6\n");
-    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -153,24 +153,40 @@ TEST(AnalyzeResume, ForeignRowsAreRefusedNotMerged)
     const std::string path = pathIn("foreign.csv");
     writeFile(path,
               sweepCsvHeader() + "\n" + row("supremacy", 22) + "\n");
-    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
 TEST(AnalyzeResume, WrongShardSliceIsRefused)
 {
-    // Rows valid for shard 0 do not resume under shard 1's slice.
-    const std::vector<PlannedPoint> all = plannedPoints();
-    const std::vector<PlannedPoint> shard1(all.begin() + 2, all.end());
+    // Rows valid for shard 0 do not resume under shard 1's range.
+    const SweepPlan plan = plannedPoints();
     const std::string path = pathIn("shard.csv");
     writeFile(path, row("qft", 14) + "\n");
-    EXPECT_THROW(analyzeResume(path, false, false, shard1, 2),
+    EXPECT_THROW(analyzeResume(path, false, false, plan, 2, 4),
                  ConfigError);
-    // The same rows are fine for the slice they came from.
-    const std::vector<PlannedPoint> shard0(all.begin(), all.begin() + 2);
-    const ResumeState state =
-        analyzeResume(path, false, false, shard0, 0);
+    // The same rows are fine for the range they came from.
+    const ResumeState state = analyzeResume(path, false, false, plan, 0, 2);
     EXPECT_EQ(state.done, 1u);
+}
+
+TEST(AnalyzeResume, ShardSidecarHoldsPlanIndices)
+{
+    // Shard [2, 4): bv at 14 succeeded, bv at 18 (plan index 3) failed.
+    const std::string path = pathIn("shardside.csv");
+    writeFile(path, row("bv", 14) + "\n");
+    writeFile(path + ".errors", sweepErrorsHeader() + "\n" +
+                                    sidecarRow(3, "bv", 18) + "\n");
+    const ResumeState state =
+        analyzeResume(path, false, true, plannedPoints(), 2, 4);
+    EXPECT_EQ(state.done, 2u);
+    ASSERT_EQ(state.failedIndices.size(), 1u);
+    EXPECT_EQ(state.failedIndices[0], 3u);
+    // Plan index 1 belongs to shard [0, 2), not to this one.
+    writeFile(path + ".errors", sweepErrorsHeader() + "\n" +
+                                    sidecarRow(1, "qft", 18) + "\n");
+    EXPECT_THROW(analyzeResume(path, false, true, plannedPoints(), 2, 4),
+                 ConfigError);
 }
 
 TEST(AnalyzeResume, MoreRowsThanPlannedIsRefused)
@@ -180,7 +196,7 @@ TEST(AnalyzeResume, MoreRowsThanPlannedIsRefused)
     for (int i = 0; i < 5; ++i)
         content += row("qft", 14) + "\n";
     writeFile(path, content);
-    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -191,10 +207,10 @@ TEST(AnalyzeResume, SidecarRequiresKeepGoing)
     writeFile(path + ".errors",
               sweepErrorsHeader() + "\n" + sidecarRow(0, "qft", 14) +
                   "\n");
-    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, false, plannedPoints(), 0, 4),
                  ConfigError);
     const ResumeState state =
-        analyzeResume(path, true, true, plannedPoints(), 0);
+        analyzeResume(path, true, true, plannedPoints(), 0, 4);
     EXPECT_EQ(state.done, 1u);
     EXPECT_EQ(state.csvRows, 0u);
     ASSERT_EQ(state.failedIndices.size(), 1u);
@@ -211,7 +227,7 @@ TEST(AnalyzeResume, FailuresInterleaveWithRowsInPlannedOrder)
               sweepErrorsHeader() + "\n" + sidecarRow(1, "qft", 18) +
                   "\n");
     const ResumeState state =
-        analyzeResume(path, true, true, plannedPoints(), 0);
+        analyzeResume(path, true, true, plannedPoints(), 0, 4);
     EXPECT_EQ(state.done, 3u);
     EXPECT_EQ(state.csvRows, 2u);
     ASSERT_EQ(state.failedIndices.size(), 1u);
@@ -225,7 +241,7 @@ TEST(AnalyzeResume, SidecarIdentityMismatchIsRefused)
     writeFile(path + ".errors",
               sweepErrorsHeader() + "\n" + sidecarRow(0, "bv", 99) +
                   "\n");
-    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -236,7 +252,7 @@ TEST(AnalyzeResume, SidecarIndexOutsideTheShardIsRefused)
     writeFile(path + ".errors",
               sweepErrorsHeader() + "\n" + sidecarRow(7, "bv", 18) +
                   "\n");
-    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -247,7 +263,7 @@ TEST(AnalyzeResume, SidecarIndicesMustAscend)
     writeFile(path + ".errors",
               sweepErrorsHeader() + "\n" + sidecarRow(1, "qft", 18) +
                   "\n" + sidecarRow(0, "qft", 14) + "\n");
-    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -260,7 +276,7 @@ TEST(AnalyzeResume, FailureRecordedBeyondTheCompletedPrefixIsRefused)
     writeFile(path + ".errors",
               sweepErrorsHeader() + "\n" + sidecarRow(1, "qft", 18) +
                   "\n");
-    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -271,7 +287,7 @@ TEST(AnalyzeResume, MalformedSidecarIndexIsRefused)
     writeFile(path + ".errors",
               sweepErrorsHeader() + "\nxyz,qft,linear:6,14,FM,GS,"
               "error,\"x\"\n");
-    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0),
+    EXPECT_THROW(analyzeResume(path, true, true, plannedPoints(), 0, 4),
                  ConfigError);
 }
 
@@ -283,7 +299,7 @@ TEST(AnalyzeResume, TornSidecarLineIsHealedBeforeCounting)
                                     sidecarRow(1, "qft", 18) +
                                     "\n2,bv,linear");
     const ResumeState state =
-        analyzeResume(path, true, true, plannedPoints(), 0);
+        analyzeResume(path, true, true, plannedPoints(), 0, 4);
     EXPECT_EQ(state.done, 2u); // the torn failure record is dropped
     EXPECT_EQ(readFile(path + ".errors"),
               sweepErrorsHeader() + "\n" + sidecarRow(1, "qft", 18) +

@@ -59,8 +59,8 @@ runExhaustive(const SweepPlan &plan)
     SweepEngine engine;
     SweepSpecRunner runner(engine);
     std::vector<SweepPoint> results;
-    runner.run(plan.expand(), 0,
-               [&](const SweepPoint &point) {
+    runner.run(plan, indexRange(0, plan.size()),
+               [&](size_t, const SweepPoint &point) {
                    results.push_back(point);
                });
     return results;
@@ -91,7 +91,7 @@ runSearch(const SweepPlan &plan, const SearchOptions &options = {})
     SearchOptions resolved = options;
     if (resolved.budget == 0)
         resolved.budget = plan.search.budget;
-    return search.run(PlanSearchSpace(plan), resolved);
+    return search.run(plan, resolved);
 }
 
 // ---------------------------------------------------------------------
@@ -159,7 +159,7 @@ TEST(SearchDeterminism, IdenticalForAnyWorkerCount)
         SweepEngine engine(jobs);
         SearchEngine search(engine);
         digests.push_back(
-            outcomeDigest(search.run(PlanSearchSpace(plan), {})));
+            outcomeDigest(search.run(plan, {})));
     }
     EXPECT_EQ(digests[0], digests[1]);
     EXPECT_EQ(digests[0], digests[2]);
@@ -297,11 +297,10 @@ TEST(SearchFuzz, AuditRowsByteIdenticalToSweepRowsOn30RandomGrids)
 
 TEST(SearchErrors, EmptySpaceThrows)
 {
-    const std::vector<PlannedPoint> empty;
+    const SweepPlan empty;
     SweepEngine engine(1);
     SearchEngine search(engine);
-    EXPECT_THROW(search.run(PointsSearchSpace(empty), {}),
-                 ConfigError);
+    EXPECT_THROW(search.run(empty, {}), ConfigError);
 }
 
 } // namespace

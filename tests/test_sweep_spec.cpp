@@ -36,26 +36,26 @@ namespace
 
 TEST(SweepSpecParse, MinimalSpec)
 {
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "tiny",
         "sweeps": [{"apps": "qft"}]
     })");
-    EXPECT_EQ(spec.name, "tiny");
-    ASSERT_EQ(spec.points.size(), 1u);
-    EXPECT_EQ(spec.points[0].application, "qft");
-    EXPECT_TRUE(spec.points[0].qasmPath.empty());
+    EXPECT_EQ(plan.name, "tiny");
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan.point(0).application, "qft");
+    EXPECT_TRUE(plan.point(0).qasmPath.empty());
     // Defaults match DesignPoint/RunOptions defaults.
-    EXPECT_EQ(spec.points[0].design.topologySpec, "linear:6");
-    EXPECT_EQ(spec.points[0].design.trapCapacity, 22);
-    EXPECT_EQ(spec.points[0].design.hw.gateImpl, GateImpl::FM);
-    EXPECT_EQ(spec.points[0].design.hw.reorder, ReorderMethod::GS);
-    EXPECT_EQ(spec.points[0].design.hw.bufferSlots, 2);
-    EXPECT_FALSE(spec.points[0].options.decomposeRuntime);
+    EXPECT_EQ(plan.point(0).design.topologySpec, "linear:6");
+    EXPECT_EQ(plan.point(0).design.trapCapacity, 22);
+    EXPECT_EQ(plan.point(0).design.hw.gateImpl, GateImpl::FM);
+    EXPECT_EQ(plan.point(0).design.hw.reorder, ReorderMethod::GS);
+    EXPECT_EQ(plan.point(0).design.hw.bufferSlots, 2);
+    EXPECT_FALSE(plan.point(0).options.decomposeRuntime);
 }
 
 TEST(SweepSpecParse, AxesExpandInDeclarationOrderFirstSlowest)
 {
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "order",
         "sweeps": [{
             "apps": ["qft", "bv"],
@@ -63,37 +63,37 @@ TEST(SweepSpecParse, AxesExpandInDeclarationOrderFirstSlowest)
             "capacity": [14, 18]
         }]
     })");
-    ASSERT_EQ(spec.points.size(), 8u);
+    ASSERT_EQ(plan.size(), 8u);
     // apps varies slowest, capacity fastest.
-    EXPECT_EQ(spec.points[0].application, "qft");
-    EXPECT_EQ(spec.points[0].design.hw.gateImpl, GateImpl::FM);
-    EXPECT_EQ(spec.points[0].design.trapCapacity, 14);
-    EXPECT_EQ(spec.points[1].design.trapCapacity, 18);
-    EXPECT_EQ(spec.points[2].design.hw.gateImpl, GateImpl::PM);
-    EXPECT_EQ(spec.points[2].design.trapCapacity, 14);
-    EXPECT_EQ(spec.points[4].application, "bv");
-    EXPECT_EQ(spec.points[7].application, "bv");
-    EXPECT_EQ(spec.points[7].design.hw.gateImpl, GateImpl::PM);
-    EXPECT_EQ(spec.points[7].design.trapCapacity, 18);
+    EXPECT_EQ(plan.point(0).application, "qft");
+    EXPECT_EQ(plan.point(0).design.hw.gateImpl, GateImpl::FM);
+    EXPECT_EQ(plan.point(0).design.trapCapacity, 14);
+    EXPECT_EQ(plan.point(1).design.trapCapacity, 18);
+    EXPECT_EQ(plan.point(2).design.hw.gateImpl, GateImpl::PM);
+    EXPECT_EQ(plan.point(2).design.trapCapacity, 14);
+    EXPECT_EQ(plan.point(4).application, "bv");
+    EXPECT_EQ(plan.point(7).application, "bv");
+    EXPECT_EQ(plan.point(7).design.hw.gateImpl, GateImpl::PM);
+    EXPECT_EQ(plan.point(7).design.trapCapacity, 18);
 }
 
 TEST(SweepSpecParse, GridsConcatenateInFileOrder)
 {
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "two",
         "sweeps": [
             {"apps": "qft", "topology": "linear:6"},
             {"apps": "qft", "topology": "grid:2x3"}
         ]
     })");
-    ASSERT_EQ(spec.points.size(), 2u);
-    EXPECT_EQ(spec.points[0].design.topologySpec, "linear:6");
-    EXPECT_EQ(spec.points[1].design.topologySpec, "grid:2x3");
+    ASSERT_EQ(plan.size(), 2u);
+    EXPECT_EQ(plan.point(0).design.topologySpec, "linear:6");
+    EXPECT_EQ(plan.point(1).design.topologySpec, "grid:2x3");
 }
 
 TEST(SweepSpecParse, ParamsOverridesAndCoVaryingAxis)
 {
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "p",
         "sweeps": [{
             "apps": "qft",
@@ -104,15 +104,15 @@ TEST(SweepSpecParse, ParamsOverridesAndCoVaryingAxis)
             ]
         }]
     })");
-    ASSERT_EQ(spec.points.size(), 2u);
-    EXPECT_DOUBLE_EQ(spec.points[0].design.hw.heatingK1, 0.2);
-    EXPECT_DOUBLE_EQ(spec.points[0].design.hw.heatingK2, 0.02);
-    EXPECT_DOUBLE_EQ(spec.points[0].design.hw.gammaPerS, 1.0);
-    EXPECT_DOUBLE_EQ(spec.points[1].design.hw.gammaPerS, 2.5);
-    EXPECT_DOUBLE_EQ(spec.points[1].design.hw.shuttle.split, 160.0);
-    EXPECT_EQ(spec.points[1].design.hw.bufferSlots, 3);
+    ASSERT_EQ(plan.size(), 2u);
+    EXPECT_DOUBLE_EQ(plan.point(0).design.hw.heatingK1, 0.2);
+    EXPECT_DOUBLE_EQ(plan.point(0).design.hw.heatingK2, 0.02);
+    EXPECT_DOUBLE_EQ(plan.point(0).design.hw.gammaPerS, 1.0);
+    EXPECT_DOUBLE_EQ(plan.point(1).design.hw.gammaPerS, 2.5);
+    EXPECT_DOUBLE_EQ(plan.point(1).design.hw.shuttle.split, 160.0);
+    EXPECT_EQ(plan.point(1).design.hw.bufferSlots, 3);
     // The second axis value must not inherit the first one's overrides.
-    EXPECT_DOUBLE_EQ(spec.points[1].design.hw.heatingK1, 0.1);
+    EXPECT_DOUBLE_EQ(plan.point(1).design.hw.heatingK1, 0.1);
 }
 
 TEST(SweepSpecParse, EveryHardwareOverrideKeyIsApplicable)
@@ -142,37 +142,37 @@ TEST(SweepSpecParse, QasmAppsResolveRelativeToBaseDir)
     c.cx(0, 1);
     qasm::writeFile(c, dir + "/pair.qasm");
 
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "q",
         "sweeps": [{"apps": ["qasm:pair.qasm"]}]
     })", "inline", dir);
-    ASSERT_EQ(spec.points.size(), 1u);
-    EXPECT_EQ(spec.points[0].application, "pair");
-    EXPECT_EQ(spec.points[0].qasmPath, dir + "/pair.qasm");
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan.point(0).application, "pair");
+    EXPECT_EQ(plan.point(0).qasmPath, dir + "/pair.qasm");
 }
 
 TEST(SweepSpecParse, CommentsAndTrailingCommasAccepted)
 {
-    const SweepSpec spec = parseSweepSpec(
+    const SweepPlan plan = parseSweepPlan(
         "# leading comment\n"
         "{\n"
         "  \"name\": \"c\", # inline comment\n"
         "  \"sweeps\": [{\"apps\": [\"qft\",], \"capacity\": [14, 18,],},],\n"
         "}\n");
-    EXPECT_EQ(spec.points.size(), 2u);
+    EXPECT_EQ(plan.size(), 2u);
 }
 
 TEST(SweepSpecParse, OptionsApplyGridWide)
 {
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "o",
         "sweeps": [
             {"apps": "qft", "options": {"decompose_runtime": true}},
             {"apps": "qft"}
         ]
     })");
-    EXPECT_TRUE(spec.points[0].options.decomposeRuntime);
-    EXPECT_FALSE(spec.points[1].options.decomposeRuntime);
+    EXPECT_TRUE(plan.point(0).options.decomposeRuntime);
+    EXPECT_FALSE(plan.point(1).options.decomposeRuntime);
 }
 
 /** Expect a ConfigError whose message contains @p fragment. */
@@ -180,7 +180,7 @@ void
 expectParseError(const std::string &text, const std::string &fragment)
 {
     try {
-        parseSweepSpec(text, "spec");
+        parseSweepPlan(text, "spec");
         FAIL() << "expected ConfigError for: " << text;
     } catch (const ConfigError &err) {
         EXPECT_NE(std::string(err.what()).find(fragment),
@@ -238,6 +238,20 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft", "buffer": -1}]})",
         "spec:1:52: buffer slots must be non-negative, got -1");
+    // So do "params" values outside their model's range, each checked
+    // on its own at the value's position.
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"kappa": -1}}]})",
+        "spec:1:62: kappa must be non-negative");
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"buffer_slots": -3}}]})",
+        "spec:1:69: buffer slots must be non-negative");
+    expectParseError(
+        R"({"name": "x", "sweeps": [{"apps": "qft",)"
+        R"( "params": {"recool_factor": 2}}]})",
+        "spec:1:70: recool factor must be in (0, 1]");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "params": {"bogus_knob": 1}}]})",
@@ -249,7 +263,7 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
                      "trailing content");
     // Error messages carry origin:line:column.
     try {
-        parseSweepSpec("{\n  \"name\": 7\n}", "myfile.sweep");
+        parseSweepPlan("{\n  \"name\": 7\n}", "myfile.sweep");
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &err) {
         EXPECT_NE(std::string(err.what()).find("myfile.sweep:2:11"),
@@ -265,7 +279,7 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
           R"( "gate": "ZZ"}]})",
           R"({"name": "x", "sweeps": [{"apps": "nonesuch"}]})"}) {
         try {
-            parseSweepSpec(bad, "once.sweep");
+            parseSweepPlan(bad, "once.sweep");
             FAIL() << "expected ConfigError for: " << bad;
         } catch (const ConfigError &err) {
             const std::string msg = err.what();
@@ -281,7 +295,7 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
 TEST(SweepSpecParse, DeeplyNestedInputErrorsInsteadOfOverflowing)
 {
     std::string bomb(2000, '[');
-    EXPECT_THROW(parseSweepSpec(bomb), ConfigError);
+    EXPECT_THROW(parseSweepPlan(bomb), ConfigError);
 }
 
 // ---------------------------------------------------------------------
@@ -348,7 +362,7 @@ TEST(SweepSpecFuzz, GarbledInputNeverCrashes)
             break; // keep valid — parser must accept
         }
         try {
-            parseSweepSpec(text, "fuzz");
+            parseSweepPlan(text, "fuzz");
             ++parsed_ok;
         } catch (const QccdError &) {
             // Clean, typed failure: exactly what malformed input owes us.
@@ -367,7 +381,7 @@ TEST(SweepSpecFuzz, RandomBytesNeverCrash)
         for (int i = 0; i < len; ++i)
             text.push_back(static_cast<char>(rng.nextInt(1, 126)));
         try {
-            parseSweepSpec(text, "bytes");
+            parseSweepPlan(text, "bytes");
         } catch (const QccdError &) {
         }
     }
@@ -531,17 +545,22 @@ randomGridText(Rng &rng)
     return out.str();
 }
 
-/** Run @p points through a fresh engine/runner with @p jobs workers. */
+/** Run the points of @p plan at [@p first, @p last) (default: all)
+ *  through a fresh engine/runner with @p jobs workers. */
 std::vector<SweepPoint>
-engineRows(const std::vector<PlannedPoint> &points, int jobs,
-           size_t skip = 0, size_t batch_size = 3)
+engineRows(const SweepPlan &plan, int jobs, size_t first = 0,
+           size_t last = static_cast<size_t>(-1), size_t batch_size = 3)
 {
     SweepEngine engine(jobs);
     SweepSpecRunner runner(engine);
     std::vector<SweepPoint> rows;
-    runner.run(points, skip,
-               [&](const SweepPoint &p) { rows.push_back(p); },
-               batch_size);
+    size_t next = first;
+    runner.run(plan, indexRange(first, std::min(last, plan.size())),
+               [&](size_t index, const SweepPoint &p) {
+                   EXPECT_EQ(index, next++);
+                   rows.push_back(p);
+               },
+               {}, batch_size);
     return rows;
 }
 
@@ -550,13 +569,14 @@ TEST_F(SweepSpecDifferential, EngineMatchesDirectAndShardsCompose)
     Rng rng(0xd1ffULL);
     for (int grid = 0; grid < 30; ++grid) {
         const std::string text = randomGridText(rng);
-        const SweepSpec spec = parseSweepSpec(text, "diff", *dir_);
-        ASSERT_FALSE(spec.points.empty()) << text;
+        const SweepPlan plan = parseSweepPlan(text, "diff", *dir_);
+        ASSERT_GT(plan.size(), 0u) << text;
 
         // Direct path: lower and evaluate every point independently,
         // with no engine, no caches, no batching.
         std::vector<SweepPoint> direct;
-        for (const PlannedPoint &point : spec.points) {
+        for (size_t i = 0; i < plan.size(); ++i) {
+            const PlannedPoint point = plan.point(i);
             const Circuit circuit =
                 point.qasmPath.empty()
                     ? makeBenchmark(point.application)
@@ -569,10 +589,8 @@ TEST_F(SweepSpecDifferential, EngineMatchesDirectAndShardsCompose)
             direct.push_back(std::move(row));
         }
 
-        const std::vector<SweepPoint> serial =
-            engineRows(spec.points, 1);
-        const std::vector<SweepPoint> parallel =
-            engineRows(spec.points, 4);
+        const std::vector<SweepPoint> serial = engineRows(plan, 1);
+        const std::vector<SweepPoint> parallel = engineRows(plan, 4);
         ASSERT_EQ(serial.size(), direct.size()) << text;
         ASSERT_EQ(parallel.size(), direct.size()) << text;
         for (size_t i = 0; i < direct.size(); ++i) {
@@ -584,21 +602,14 @@ TEST_F(SweepSpecDifferential, EngineMatchesDirectAndShardsCompose)
         }
 
         // Shard union 0/2 then 1/2 must equal the unsharded run.
-        const auto [a_first, a_last] =
-            shardRange(spec.points.size(), 0, 2);
-        const auto [b_first, b_last] =
-            shardRange(spec.points.size(), 1, 2);
+        const auto [a_first, a_last] = shardRange(plan.size(), 0, 2);
+        const auto [b_first, b_last] = shardRange(plan.size(), 1, 2);
         EXPECT_EQ(a_first, 0u);
         EXPECT_EQ(a_last, b_first);
-        EXPECT_EQ(b_last, spec.points.size());
-        std::vector<PlannedPoint> shard_a(
-            spec.points.begin(),
-            spec.points.begin() + static_cast<long>(a_last));
-        std::vector<PlannedPoint> shard_b(
-            spec.points.begin() + static_cast<long>(b_first),
-            spec.points.end());
-        std::vector<SweepPoint> unionRows = engineRows(shard_a, 2);
-        for (const SweepPoint &p : engineRows(shard_b, 2))
+        EXPECT_EQ(b_last, plan.size());
+        std::vector<SweepPoint> unionRows =
+            engineRows(plan, 2, a_first, a_last);
+        for (const SweepPoint &p : engineRows(plan, 2, b_first, b_last))
             unionRows.push_back(p);
         ASSERT_EQ(unionRows.size(), direct.size()) << text;
         for (size_t i = 0; i < direct.size(); ++i)
@@ -612,7 +623,7 @@ TEST_F(SweepSpecDifferential, BuiltinAppsMatchDirectToo)
 {
     // One grid over a paper-scale builtin exercises the runner's
     // per-application lowering against direct in-place lowering.
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "builtin",
         "sweeps": [{
             "apps": ["bv"],
@@ -621,7 +632,8 @@ TEST_F(SweepSpecDifferential, BuiltinAppsMatchDirectToo)
         }]
     })");
     std::vector<SweepPoint> direct;
-    for (const PlannedPoint &point : spec.points) {
+    for (size_t i = 0; i < plan.size(); ++i) {
+        const PlannedPoint point = plan.point(i);
         SweepPoint row;
         row.application = point.application;
         row.design = point.design;
@@ -629,7 +641,7 @@ TEST_F(SweepSpecDifferential, BuiltinAppsMatchDirectToo)
                                  point.design, point.options);
         direct.push_back(std::move(row));
     }
-    const std::vector<SweepPoint> engine = engineRows(spec.points, 4);
+    const std::vector<SweepPoint> engine = engineRows(plan, 4);
     ASSERT_EQ(engine.size(), direct.size());
     for (size_t i = 0; i < direct.size(); ++i)
         expectBitIdentical(engine[i], direct[i],
@@ -652,13 +664,12 @@ TEST(SweepSpecRunner, LowersEachApplicationOnce)
 
 TEST_F(SweepSpecDifferential, ResumeSkipEmitsTheSuffix)
 {
-    const SweepSpec spec = parseSweepSpec(R"({
+    const SweepPlan plan = parseSweepPlan(R"({
         "name": "resume",
         "sweeps": [{"apps": ["qasm:qft8.qasm"], "capacity": [10, 12, 14]}]
     })", "resume", *dir_);
-    const std::vector<SweepPoint> all = engineRows(spec.points, 1);
-    const std::vector<SweepPoint> tail =
-        engineRows(spec.points, 1, /*skip=*/2);
+    const std::vector<SweepPoint> all = engineRows(plan, 1);
+    const std::vector<SweepPoint> tail = engineRows(plan, 1, /*first=*/2);
     ASSERT_EQ(all.size(), 3u);
     ASSERT_EQ(tail.size(), 1u);
     expectBitIdentical(tail[0], all[2], "resume suffix");
