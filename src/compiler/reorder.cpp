@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/model_replay.hpp"
 
 namespace qccd
 {
@@ -30,24 +29,19 @@ PrimitiveEmitter::PrimitiveEmitter(DeviceState &state,
                                    bool zero_comm_times,
                                    ModelEvalLog *model_log)
     : state_(state), hw_(hw),
-      tables_(ModelTables::shared(hw,
-                                  maxTrapCapacity(state.topology()) + 1)),
-      heating_(hw.heatingModel()), result_(result), trace_(trace),
-      zeroComm_(zero_comm_times), log_(model_log),
+      fold_(hw, maxTrapCapacity(state.topology()) + 1, result, model_log),
+      result_(result), trace_(trace), zeroComm_(zero_comm_times),
       qubitReady_(state.numIons(), 0)
 {
-    if (log_ != nullptr)
-        log_->setMaxChain(tables_->maxChain());
 }
 
 void
 PrimitiveEmitter::recordSimple(PrimKind kind, TimeUs start,
                                TimeUs duration, TrapId trap, EdgeId edge,
                                NodeId junction, IonId ion, QubitId q0,
-                               bool for_comm, double fid, double log_fid)
+                               bool for_comm, double fid)
 {
-    result_.noteSimpleOp(kind, start + duration, duration, for_comm, fid,
-                         log_fid);
+    result_.noteOp(kind, start + duration, duration, for_comm);
     if (trace_ != nullptr) {
         PrimOp op;
         op.kind = kind;
@@ -78,11 +72,11 @@ PrimitiveEmitter::emitMs(QubitId qa, QubitId qb, TimeUs ready,
     const int pb = state_.positionOf(ib);
     const int separation = std::abs(pa - pb);
     const int chain_len = state_.chain(t).size();
-    const Quanta nbar = state_.energy(t);
+    const Quanta nbar = fold_.energy(t);
 
     // Fidelity uses the *physical* gate duration even when the
     // decomposition mode zeroes schedule time.
-    const TimeUs phys_dur = tables_->twoQubit(separation, chain_len);
+    const TimeUs phys_dur = fold_.tables().twoQubit(separation, chain_len);
     const TimeUs dur = for_comm ? commDur(phys_dur) : phys_dur;
 
     const TimeUs data_ready =
@@ -92,15 +86,8 @@ PrimitiveEmitter::emitMs(QubitId qa, QubitId qb, TimeUs ready,
     qubitReady_[qa] = end;
     qubitReady_[qb] = end;
 
-    const GateErrorBreakdown err =
-        tables_->msError(phys_dur, chain_len, nbar);
-    const double fid = err.fidelity();
-    const double log_fid = std::log(std::max(fid, kMinFidelity));
-
-    if (log_ != nullptr)
-        log_->noteMs(t, chain_len, phys_dur);
-    result_.noteMsOp(end, dur, for_comm, err.background, err.motional,
-                     fid, log_fid);
+    const GateErrorBreakdown err = fold_.ms(t, chain_len, phys_dur);
+    result_.noteOp(PrimKind::GateMS, end, dur, for_comm);
     if (trace_ != nullptr) {
         PrimOp op;
         op.kind = PrimKind::GateMS;
@@ -114,7 +101,7 @@ PrimitiveEmitter::emitMs(QubitId qa, QubitId qb, TimeUs ready,
         op.nbar = nbar;
         op.errBackground = err.background;
         op.errMotional = err.motional;
-        op.fidelity = fid;
+        op.fidelity = err.fidelity();
         op.forCommunication = for_comm;
         trace_->push_back(op);
     }
@@ -128,17 +115,15 @@ PrimitiveEmitter::emitOneQubit(QubitId q, TimeUs ready)
     const TrapId t = state_.trapOf(ion);
     panicUnless(t != kInvalidId, "one-qubit gate on an in-flight ion");
 
-    const TimeUs dur = tables_->gateTime().oneQubit();
+    const TimeUs dur = fold_.tables().gateTime().oneQubit();
     const TimeUs start = state_.trapTimeline(t).acquire(
         std::max(ready, qubitReady_[q]), dur);
     qubitReady_[q] = start + dur;
 
-    if (log_ != nullptr)
-        log_->noteOneQubit();
+    fold_.oneQubit();
     recordSimple(PrimKind::Gate1Q, start, dur, t, kInvalidId, kInvalidId,
                  kInvalidId, q, false,
-                 tables_->fidelity().oneQubitFidelity(),
-                 tables_->logOneQubitFidelity());
+                 fold_.tables().fidelity().oneQubitFidelity());
     return start + dur;
 }
 
@@ -149,17 +134,15 @@ PrimitiveEmitter::emitMeasure(QubitId q, TimeUs ready)
     const TrapId t = state_.trapOf(ion);
     panicUnless(t != kInvalidId, "measurement of an in-flight ion");
 
-    const TimeUs dur = tables_->gateTime().measure();
+    const TimeUs dur = fold_.tables().gateTime().measure();
     const TimeUs start = state_.trapTimeline(t).acquire(
         std::max(ready, qubitReady_[q]), dur);
     qubitReady_[q] = start + dur;
 
-    if (log_ != nullptr)
-        log_->noteMeasure();
+    fold_.measure();
     recordSimple(PrimKind::Measure, start, dur, t, kInvalidId,
                  kInvalidId, kInvalidId, q, false,
-                 tables_->fidelity().measureFidelity(),
-                 tables_->logMeasureFidelity());
+                 fold_.tables().fidelity().measureFidelity());
     return start + dur;
 }
 
@@ -179,25 +162,12 @@ PrimitiveEmitter::emitSplit(TrapId t, ChainEnd end, TimeUs ready,
         std::max(ready, qubitReady_[payload]), dur);
     qubitReady_[payload] = start + dur;
 
-    if (log_ != nullptr)
-        log_->noteSplit(t, n - 1);
-    Quanta ion_energy = 0;
-    if (n == 1) {
-        // Extracting the last ion: it keeps the chain energy and gains
-        // the split disturbance; the empty trap holds no energy.
-        ion_energy = chain.energy + heating_.k1();
-        state_.setEnergy(t, 0);
-    } else {
-        const auto [rest, moved] =
-            heating_.afterSplit(chain.energy, n - 1, 1);
-        state_.setEnergy(t, rest);
-        ion_energy = moved;
-    }
-    *out_ion = state_.detachEnd(t, end, ion_energy);
+    fold_.split(t, n - 1);
+    *out_ion = state_.detachEnd(t, end);
     panicUnless(*out_ion == ion, "split detached the wrong ion");
 
     recordSimple(PrimKind::Split, start, dur, t, kInvalidId, kInvalidId,
-                 ion, payload, true, 1.0, tables_->logUnitFidelity());
+                 ion, payload, true, 1.0);
     return start + dur;
 }
 
@@ -211,16 +181,11 @@ PrimitiveEmitter::emitMerge(TrapId t, ChainEnd end, IonId ion,
         std::max(ready, qubitReady_[payload]), dur);
     qubitReady_[payload] = start + dur;
 
-    if (log_ != nullptr)
-        log_->noteMerge(t);
-    Quanta merged = heating_.afterMerge(state_.energy(t),
-                                        state_.flightEnergy(ion));
-    merged *= hw_.recoolFactor;
+    fold_.merge(t);
     state_.attachEnd(t, end, ion);
-    state_.setEnergy(t, merged);
 
     recordSimple(PrimKind::Merge, start, dur, t, kInvalidId, kInvalidId,
-                 ion, payload, true, 1.0, tables_->logUnitFidelity());
+                 ion, payload, true, 1.0);
     return start + dur;
 }
 
@@ -234,14 +199,11 @@ PrimitiveEmitter::emitMove(EdgeId e, IonId ion, TimeUs ready)
         std::max(ready, qubitReady_[payload]), dur);
     qubitReady_[payload] = start + dur;
 
-    if (log_ != nullptr)
-        log_->noteMoves(segments);
-    state_.setFlightEnergy(
-        ion, heating_.afterMoves(state_.flightEnergy(ion), segments));
+    fold_.moves(segments);
     result_.counts.segmentsMoved += segments;
 
     recordSimple(PrimKind::Move, start, dur, kInvalidId, e, kInvalidId,
-                 ion, payload, true, 1.0, tables_->logUnitFidelity());
+                 ion, payload, true, 1.0);
     return start + dur;
 }
 
@@ -255,14 +217,10 @@ PrimitiveEmitter::emitJunction(NodeId n, IonId ion, TimeUs ready)
         std::max(ready, qubitReady_[payload]), dur);
     qubitReady_[payload] = start + dur;
 
-    if (log_ != nullptr)
-        log_->noteJunction();
-    state_.setFlightEnergy(ion,
-                           heating_.afterJunction(state_.flightEnergy(ion)));
+    fold_.junction();
 
     recordSimple(PrimKind::JunctionCross, start, dur, kInvalidId,
-                 kInvalidId, n, ion, payload, true, 1.0,
-                 tables_->logUnitFidelity());
+                 kInvalidId, n, ion, payload, true, 1.0);
     return start + dur;
 }
 
@@ -271,22 +229,16 @@ PrimitiveEmitter::emitTransit(TrapId t, IonId ion, TimeUs ready)
 {
     // Crossing an empty trap region is modeled as one segment of linear
     // transport: nothing to merge with, nothing to reorder.
-    // afterMove(e, 1) == afterMoves(e, 1) bit for bit, so the replay
-    // log records it as a one-segment move.
-    if (log_ != nullptr)
-        log_->noteMoves(1);
     const TimeUs dur = commDur(hw_.shuttle.movePerSegment);
     const QubitId payload = state_.payloadOf(ion);
     const TimeUs start = state_.trapTimeline(t).acquire(
         std::max(ready, qubitReady_[payload]), dur);
     qubitReady_[payload] = start + dur;
 
-    state_.setFlightEnergy(ion,
-                           heating_.afterMove(state_.flightEnergy(ion), 1));
+    fold_.moves(1);
 
     recordSimple(PrimKind::Transit, start, dur, t, kInvalidId,
-                 kInvalidId, ion, payload, true, 1.0,
-                 tables_->logUnitFidelity());
+                 kInvalidId, ion, payload, true, 1.0);
     return start + dur;
 }
 
@@ -304,21 +256,14 @@ PrimitiveEmitter::emitIonSwapHop(IonId ion, ChainEnd end, TimeUs ready)
     TimeUs t_flow = ready;
     if (n > 2) {
         // A two-ion hop (else branch) touches neither chain energy nor
-        // any non-unit fidelity, so only this branch is logged.
-        if (log_ != nullptr)
-            log_->noteIonSwapHop(t, n);
+        // any non-unit fidelity, so only this branch has a fold step.
+        fold_.ionSwapHop(t, n);
         const TimeUs dur = commDur(hw_.shuttle.split);
         const TimeUs start =
             state_.trapTimeline(t).acquire(t_flow, dur);
         t_flow = start + dur;
-        const auto [rest, pair] =
-            heating_.afterSplit(chain.energy, n - 2, 2);
-        // The chain is reassembled below; meanwhile track both halves
-        // summed at merge time. Stash the pair share through the
-        // rotation via local bookkeeping.
         recordSimple(PrimKind::Split, start, dur, t, kInvalidId,
-                     kInvalidId, ion, kInvalidId, true, 1.0,
-                     tables_->logUnitFidelity());
+                     kInvalidId, ion, kInvalidId, true, 1.0);
 
         // Rotation.
         const TimeUs rdur = commDur(hw_.shuttle.ionSwapRotation);
@@ -326,26 +271,22 @@ PrimitiveEmitter::emitIonSwapHop(IonId ion, ChainEnd end, TimeUs ready)
             state_.trapTimeline(t).acquire(t_flow, rdur);
         t_flow = rstart + rdur;
         recordSimple(PrimKind::Rotate, rstart, rdur, t, kInvalidId,
-                     kInvalidId, ion, kInvalidId, true, 1.0,
-                     tables_->logUnitFidelity());
+                     kInvalidId, ion, kInvalidId, true, 1.0);
 
         // Merge back.
         const TimeUs mdur = commDur(hw_.shuttle.merge);
         const TimeUs mstart =
             state_.trapTimeline(t).acquire(t_flow, mdur);
         t_flow = mstart + mdur;
-        state_.setEnergy(t, heating_.afterMerge(rest, pair));
         recordSimple(PrimKind::Merge, mstart, mdur, t, kInvalidId,
-                     kInvalidId, ion, kInvalidId, true, 1.0,
-                     tables_->logUnitFidelity());
+                     kInvalidId, ion, kInvalidId, true, 1.0);
     } else {
         const TimeUs rdur = commDur(hw_.shuttle.ionSwapRotation);
         const TimeUs rstart =
             state_.trapTimeline(t).acquire(t_flow, rdur);
         t_flow = rstart + rdur;
         recordSimple(PrimKind::Rotate, rstart, rdur, t, kInvalidId,
-                     kInvalidId, ion, kInvalidId, true, 1.0,
-                     tables_->logUnitFidelity());
+                     kInvalidId, ion, kInvalidId, true, 1.0);
     }
 
     // Physically exchange the ions and release both payloads at the

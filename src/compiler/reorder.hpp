@@ -4,51 +4,54 @@
  * Section IV-C).
  *
  * PrimitiveEmitter is the single place where primitive QCCD operations
- * are stamped onto resource timelines, charged for heating and fidelity,
- * and recorded in the trace. Both the scheduler's gate/shuttle
- * orchestration and the chain-reorder expansion (GS or IS) go through
- * it, so every cost is accounted exactly once.
+ * are stamped onto resource timelines, counted, and recorded in the
+ * trace. Both the scheduler's gate/shuttle orchestration and the
+ * chain-reorder expansion (GS or IS) go through it, so every cost is
+ * accounted exactly once. It charges heating and fidelity by calling
+ * one step of its ModelFold (sim/model_replay.hpp) per primitive and
+ * computes no energy or error term itself.
  */
 
 #ifndef QCCD_COMPILER_REORDER_HPP
 #define QCCD_COMPILER_REORDER_HPP
 
-#include <memory>
 #include <vector>
 
-#include "models/model_tables.hpp"
 #include "models/params.hpp"
 #include "sim/device_state.hpp"
 #include "sim/metrics.hpp"
+#include "sim/model_replay.hpp"
 #include "sim/trace.hpp"
 
 namespace qccd
 {
-
-class ModelEvalLog;
 
 /** Stamps primitive ops onto the device, charging time/heat/fidelity. */
 class PrimitiveEmitter
 {
   public:
     /**
-     * @param state mutable device state (chains, energies, timelines)
+     * @param state mutable device state (chains, payloads, timelines)
      * @param hw hardware parameterization
-     * @param result metric accumulator to fold ops into
+     * @param result metric accumulator to fold ops into (the emitter
+     *        counts ops; its ModelFold accumulates the model fields)
      * @param trace op trace to append to (may be nullptr to skip)
      * @param zero_comm_times when true, communication ops (shuttle
      *        primitives and reorder gates) take zero time but still heat
      *        the chains; used for the compute/communication runtime
      *        decomposition of Fig. 6b
      * @param model_log optional model-evaluation log (see
-     *        sim/model_replay.hpp): every model-relevant primitive is
-     *        recorded in emission order so the staged toolflow can
+     *        sim/model_replay.hpp): the fold records every event it
+     *        sees, in emission order, so the staged toolflow can
      *        re-evaluate new model knobs without re-scheduling
      */
     PrimitiveEmitter(DeviceState &state, const HardwareParams &hw,
                      SimResult &result, Trace *trace,
                      bool zero_comm_times = false,
                      ModelEvalLog *model_log = nullptr);
+
+    /** The heating and fidelity fold (chain energies, model fields). */
+    const ModelFold &model() const { return fold_; }
 
     /** Per-qubit data-ready times. @{ */
     std::vector<TimeUs> &qubitReady() { return qubitReady_; }
@@ -108,30 +111,27 @@ class PrimitiveEmitter
     const HardwareParams &hw_;
 
     /**
-     * Memoized models, shared read-only across all emitters with the
+     * Its tables are shared read-only across all emitters with the
      * same parameterization (sized to the device's largest trap plus
      * one, since a linear pass-through can briefly exceed capacity).
      */
-    std::shared_ptr<const ModelTables> tables_;
-    HeatingModel heating_;
+    ModelFold fold_;
     SimResult &result_;
     Trace *trace_;
     bool zeroComm_;
-    ModelEvalLog *log_;
     std::vector<TimeUs> qubitReady_;
 
     /** Scale a communication duration per the decomposition mode. */
     TimeUs commDur(TimeUs d) const { return zeroComm_ ? 0.0 : d; }
 
     /**
-     * Fold a constant-fidelity primitive into the metrics (memoized
-     * log) and append it to the trace only when tracing is on — the
-     * no-trace schedule mode skips building the PrimOp entirely.
+     * Count a non-MS primitive and append it to the trace only when
+     * tracing is on — the no-trace schedule mode skips building the
+     * PrimOp entirely. @p fid is the fidelity the trace prints.
      */
     void recordSimple(PrimKind kind, TimeUs start, TimeUs duration,
                       TrapId trap, EdgeId edge, NodeId junction,
-                      IonId ion, QubitId q0, bool for_comm, double fid,
-                      double log_fid);
+                      IonId ion, QubitId q0, bool for_comm, double fid);
 
     /** One IS hop: split/rotate/merge around the swapping pair. */
     TimeUs emitIonSwapHop(IonId ion, ChainEnd end, TimeUs ready);

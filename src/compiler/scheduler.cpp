@@ -245,7 +245,6 @@ Scheduler::run()
             panicUnless(state_->payloadOf(state_->ionOf(q)) == q,
                         "qubit->ion->payload maps desynchronized");
     })
-    result_.metrics.maxChainEnergy = state_->maxEnergySeen();
     return std::move(result_);
 }
 

@@ -47,8 +47,6 @@
 namespace qccd
 {
 
-class ModelEvalLog;
-
 /** Scheduling knobs. */
 struct ScheduleOptions
 {
@@ -86,10 +84,10 @@ struct ScheduleOptions
     const SchedulePlan *plan = nullptr;
 
     /**
-     * When set, every model-relevant primitive is recorded here in
-     * emission order (see sim/model_replay.hpp), enabling model-knob
-     * re-evaluation without re-scheduling. The log is NOT cleared by
-     * the scheduler; callers clear it between recordings.
+     * When set, the emitter's ModelFold records every event it folds
+     * here, in emission order (see sim/model_replay.hpp), enabling
+     * model-knob re-evaluation without re-scheduling. The log is NOT
+     * cleared by the scheduler; callers clear it between recordings.
      */
     ModelEvalLog *modelLog = nullptr;
 };

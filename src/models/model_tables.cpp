@@ -14,7 +14,7 @@ namespace qccd
 namespace
 {
 
-/** log(max(f, kMinFidelity)), exactly as SimResult::noteOp computes. */
+/** log(max(f, kMinFidelity)), exactly as ModelFold::ms computes. */
 double
 clampedLog(double fidelity)
 {
@@ -29,8 +29,7 @@ ModelTables::ModelTables(const HardwareParams &hw, int max_chain)
       twoQubitUs_(static_cast<size_t>(maxChain_ + 1) * maxChain_, 0.0),
       scaleA_(maxChain_ + 1, 0.0),
       logOneQubit_(clampedLog(fidelity_.oneQubitFidelity())),
-      logMeasure_(clampedLog(fidelity_.measureFidelity())),
-      logUnit_(clampedLog(1.0))
+      logMeasure_(clampedLog(fidelity_.measureFidelity()))
 {
     for (int n = 2; n <= maxChain_; ++n) {
         scaleA_[n] = fidelity_.scaleFactorA(n);

@@ -7,7 +7,7 @@
  * (separation x chain length, both bounded by the trap capacity), the
  * laser-instability factor A(N) = kappa*N/ln(N) (a transcendental per
  * MS gate), and log-fidelities of the constant-error op kinds (one per
- * primitive in SimResult's log-domain fidelity product). ModelTables
+ * such op in ModelFold's log-domain fidelity product). ModelTables
  * evaluates each expression once per HardwareParams over its discrete
  * domain and serves lookups after that.
  *
@@ -75,11 +75,10 @@ class ModelTables
 
     /**
      * log(max(f, kMinFidelity)) of the constant-fidelity op kinds,
-     * matching SimResult::noteOp's per-op computation bit for bit. @{
+     * matching ModelFold's per-gate clamp bit for bit. @{
      */
     double logOneQubitFidelity() const { return logOneQubit_; }
     double logMeasureFidelity() const { return logMeasure_; }
-    double logUnitFidelity() const { return logUnit_; }
     /** @} */
 
     /** The memoized models themselves. @{ */
@@ -114,7 +113,6 @@ class ModelTables
 
     double logOneQubit_;
     double logMeasure_;
-    double logUnit_;
 };
 
 } // namespace qccd

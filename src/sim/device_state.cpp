@@ -11,8 +11,8 @@ DeviceState::DeviceState(const Topology &topo, int num_ions)
     : topo_(topo), chains_(topo.trapCount()),
       ionTrap_(num_ions, kInvalidId), ionPos_(num_ions, kInvalidId),
       ionPayload_(num_ions, kInvalidId), qubitIon_(num_ions, kInvalidId),
-      flightEnergy_(num_ions, 0), trapRes_(topo.trapCount()),
-      edgeRes_(topo.edgeCount()), nodeRes_(topo.nodeCount())
+      trapRes_(topo.trapCount()), edgeRes_(topo.edgeCount()),
+      nodeRes_(topo.nodeCount())
 {
     fatalUnless(num_ions >= 1, "device state needs at least one ion");
     if (num_ions > topo.totalCapacity())
@@ -25,19 +25,15 @@ DeviceState::DeviceState(const Topology &topo, int num_ions)
 void
 DeviceState::reset()
 {
-    for (ChainState &c : chains_) {
+    for (ChainState &c : chains_)
         c.ions.clear();
-        c.energy = 0;
-    }
     std::fill(ionTrap_.begin(), ionTrap_.end(), kInvalidId);
     std::fill(ionPos_.begin(), ionPos_.end(), kInvalidId);
     std::fill(ionPayload_.begin(), ionPayload_.end(), kInvalidId);
     std::fill(qubitIon_.begin(), qubitIon_.end(), kInvalidId);
-    std::fill(flightEnergy_.begin(), flightEnergy_.end(), 0.0);
     std::fill(trapRes_.begin(), trapRes_.end(), ResourceTimeline{});
     std::fill(edgeRes_.begin(), edgeRes_.end(), ResourceTimeline{});
     std::fill(nodeRes_.begin(), nodeRes_.end(), ResourceTimeline{});
-    maxEnergySeen_ = 0;
 }
 
 bool
@@ -96,15 +92,6 @@ DeviceState::placeIon(TrapId t, IonId ion, QubitId payload)
 }
 
 void
-DeviceState::setEnergy(TrapId t, Quanta e)
-{
-    panicUnless(t >= 0 && t < topo_.trapCount(), "trap out of range");
-    panicUnless(e >= 0, "chain energy cannot be negative");
-    chains_[t].energy = e;
-    maxEnergySeen_ = std::max(maxEnergySeen_, e);
-}
-
-void
 DeviceState::swapPayloads(IonId a, IonId b)
 {
     panicUnless(a != b, "cannot swap an ion's payload with itself");
@@ -135,7 +122,7 @@ DeviceState::swapToward(IonId ion, ChainEnd end)
 }
 
 IonId
-DeviceState::detachEnd(TrapId t, ChainEnd end, Quanta ion_energy)
+DeviceState::detachEnd(TrapId t, ChainEnd end)
 {
     ChainState &c = chains_[t];
     panicUnless(c.size() >= 1, "cannot split an empty chain");
@@ -150,8 +137,6 @@ DeviceState::detachEnd(TrapId t, ChainEnd end, Quanta ion_energy)
     }
     ionTrap_[ion] = kInvalidId;
     ionPos_[ion] = kInvalidId;
-    flightEnergy_[ion] = ion_energy;
-    maxEnergySeen_ = std::max(maxEnergySeen_, ion_energy);
     QCCD_DBG_ASSERT(positionIndexConsistent(),
                     "detachEnd broke the position index");
     return ion;
@@ -174,22 +159,6 @@ DeviceState::attachEnd(TrapId t, ChainEnd end, IonId ion)
     }
     QCCD_DBG_ASSERT(positionIndexConsistent(),
                     "attachEnd broke the position index");
-}
-
-Quanta
-DeviceState::flightEnergy(IonId ion) const
-{
-    panicUnless(ionTrap_[ion] == kInvalidId, "ion is not in flight");
-    return flightEnergy_[ion];
-}
-
-void
-DeviceState::setFlightEnergy(IonId ion, Quanta e)
-{
-    panicUnless(ionTrap_[ion] == kInvalidId, "ion is not in flight");
-    panicUnless(e >= 0, "ion energy cannot be negative");
-    flightEnergy_[ion] = e;
-    maxEnergySeen_ = std::max(maxEnergySeen_, e);
 }
 
 ChainEnd

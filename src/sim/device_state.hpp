@@ -3,9 +3,11 @@
  * Mutable runtime state of a QCCD device during scheduling/simulation.
  *
  * Tracks, per trap, the spatially ordered ion chain (index 0 is the
- * "left" end) and its motional energy; per ion, its holding trap (or
- * in-flight status) and the logical qubit payload it carries; and the
- * exclusive timelines of every trap, edge and junction resource.
+ * "left" end); per ion, its holding trap (or in-flight status) and the
+ * logical qubit payload it carries; and the exclusive timelines of
+ * every trap, edge and junction resource. Motional energies are not
+ * device state: they live in the emitter's ModelFold
+ * (sim/model_replay.hpp), the one code that applies the models.
  *
  * Port convention: for a trap node t and incident edge e, the edge
  * attaches to the left end when the edge's other endpoint has a smaller
@@ -34,11 +36,10 @@ enum class ChainEnd
     Right
 };
 
-/** Ordered ion chain plus motional energy for one trap. */
+/** Ordered ion chain of one trap. */
 struct ChainState
 {
     std::vector<IonId> ions; ///< index 0 = left end
-    Quanta energy = 0;
 
     int size() const { return static_cast<int>(ions.size()); }
 };
@@ -55,7 +56,7 @@ class DeviceState
 
     /**
      * Return to the freshly constructed state (no ions placed, all
-     * energies and timelines zero) without releasing any storage, so a
+     * timelines zero) without releasing any storage, so a
      * pooled DeviceState can be reused across schedule passes.
      */
     void reset();
@@ -78,8 +79,6 @@ class DeviceState
         panicUnless(t >= 0 && t < topo_.trapCount(), "trap out of range");
         return chains_[t];
     }
-    Quanta energy(TrapId t) const { return chain(t).energy; }
-    void setEnergy(TrapId t, Quanta e);
 
     /** Trap currently holding @p ion, or kInvalidId while in flight. */
     TrapId trapOf(IonId ion) const
@@ -124,18 +123,14 @@ class DeviceState
 
     /**
      * Remove the ion at @p end of trap @p t (split bookkeeping); the
-     * ion becomes in-flight with energy @p ion_energy.
+     * ion becomes in-flight.
      *
      * @return the detached ion
      */
-    IonId detachEnd(TrapId t, ChainEnd end, Quanta ion_energy);
+    IonId detachEnd(TrapId t, ChainEnd end);
 
     /** Attach in-flight @p ion at @p end of trap @p t. */
     void attachEnd(TrapId t, ChainEnd end, IonId ion);
-
-    /** Energy carried by an in-flight ion. */
-    Quanta flightEnergy(IonId ion) const;
-    void setFlightEnergy(IonId ion, Quanta e);
 
     /** The chain end that trap @p t's port for edge @p e sits on. */
     ChainEnd portEnd(TrapId t, EdgeId e) const;
@@ -145,9 +140,6 @@ class DeviceState
     {
         return topo_.node(topo_.trapNode(t)).capacity - chain(t).size();
     }
-
-    /** Maximum chain energy observed so far across all traps. */
-    Quanta maxEnergySeen() const { return maxEnergySeen_; }
 
     /**
      * True when the per-ion position index agrees with every chain's
@@ -177,11 +169,9 @@ class DeviceState
     std::vector<int> ionPos_;                 // per ion chain position
     std::vector<QubitId> ionPayload_;         // per ion
     std::vector<IonId> qubitIon_;             // per qubit
-    std::vector<Quanta> flightEnergy_;        // per ion, valid in flight
     std::vector<ResourceTimeline> trapRes_;
     std::vector<ResourceTimeline> edgeRes_;
     std::vector<ResourceTimeline> nodeRes_;   // junctions use node ids
-    Quanta maxEnergySeen_ = 0;
 
     /** Rewrite the position index of every ion in trap @p t's chain. */
     void reindexChain(TrapId t);

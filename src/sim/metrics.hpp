@@ -6,6 +6,12 @@
  * fidelities of every operation (paper Section V-B); the product is kept
  * in log domain so deeply unreliable configurations (app fidelity below
  * 1e-300) still compare correctly instead of flushing to zero.
+ *
+ * SimResult has two writers. PrimitiveEmitter folds the
+ * schedule-determined half (makespan, op counts, busy times) through
+ * noteOp; ModelFold (sim/model_replay.hpp) accumulates the five model
+ * fields (logFidelity, zeroFidelityOps, maxChainEnergy and the two
+ * error sums), live or in a replay.
  */
 
 #ifndef QCCD_SIM_METRICS_HPP
@@ -41,7 +47,8 @@ struct OpCounts
 
 /**
  * Fidelity floor applied inside the log product so it stays finite
- * (exposed so ModelTables can precompute clamped logs bit-identically).
+ * (exposed so ModelTables can precompute clamped logs bit-identically
+ * with ModelFold's per-gate clamp).
  */
 constexpr double kMinFidelity = 1e-15;
 
@@ -78,59 +85,23 @@ struct SimResult
     /** Mean per-MS-gate motional error (Fig. 6g series). */
     double meanMotionalError() const;
 
-    /** Fold one scheduled op into counters/makespan/fidelity. */
-    void noteOp(const PrimOp &op);
-
     /**
-     * Metrics-only fast paths: identical accounting to noteOp without
-     * requiring a populated PrimOp, for the no-trace schedule mode. The
-     * caller passes log(max(fidelity, kMinFidelity)) precomputed — the
-     * emitter memoizes it for the constant-fidelity op kinds — so the
-     * accumulated sums match noteOp's bit for bit. Inline, so a caller
-     * with a constant kind folds the kind switch away. @{
+     * Fold one scheduled op of @p kind, ending at @p end, into the
+     * makespan, the op counts and the busy times. Inline, so a caller
+     * with a constant kind folds the kind switch away.
      */
-    void noteMsOp(TimeUs end, TimeUs duration, bool for_comm,
-                  double err_background, double err_motional,
-                  double fidelity, double log_fidelity);
-    void noteSimpleOp(PrimKind kind, TimeUs end, TimeUs duration,
-                      bool for_comm, double fidelity,
-                      double log_fidelity);
-    /** @} */
+    void noteOp(PrimKind kind, TimeUs end, TimeUs duration,
+                bool for_comm);
 };
 
 inline void
-SimResult::noteMsOp(TimeUs end, TimeUs duration, bool for_comm,
-                    double err_background, double err_motional,
-                    double fidelity, double log_fidelity)
-{
-    makespan = std::max(makespan, end);
-    if (for_comm)
-        ++counts.reorderMs;
-    else
-        ++counts.algorithmMs;
-    sumBackgroundError += err_background;
-    sumMotionalError += err_motional;
-
-    if (for_comm)
-        commBusy += duration;
-    else
-        computeBusy += duration;
-
-    if (fidelity <= 0)
-        ++zeroFidelityOps;
-    logFidelity += log_fidelity;
-}
-
-inline void
-SimResult::noteSimpleOp(PrimKind kind, TimeUs end, TimeUs duration,
-                        bool for_comm, double fidelity,
-                        double log_fidelity)
+SimResult::noteOp(PrimKind kind, TimeUs end, TimeUs duration,
+                  bool for_comm)
 {
     makespan = std::max(makespan, end);
 
     switch (kind) {
       case PrimKind::GateMS:
-        // MS gates carry error sums; they must go through noteMsOp.
         if (for_comm)
             ++counts.reorderMs;
         else
@@ -166,10 +137,6 @@ SimResult::noteSimpleOp(PrimKind kind, TimeUs end, TimeUs duration,
         commBusy += duration;
     else
         computeBusy += duration;
-
-    if (fidelity <= 0)
-        ++zeroFidelityOps;
-    logFidelity += log_fidelity;
 }
 
 } // namespace qccd

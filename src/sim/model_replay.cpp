@@ -1,121 +1,61 @@
 #include "sim/model_replay.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
-#include "models/model_tables.hpp"
-
 namespace qccd
 {
+
+ModelFold::ModelFold(const HardwareParams &hw, int max_chain,
+                     SimResult &out, ModelEvalLog *log)
+    : tables_(ModelTables::shared(hw, max_chain)),
+      recoolFactor_(hw.recoolFactor), out_(out), log_(log)
+{
+    out_.logFidelity = 0;
+    out_.zeroFidelityOps = 0;
+    out_.sumBackgroundError = 0;
+    out_.sumMotionalError = 0;
+    out_.maxChainEnergy = 0;
+    if (log_ != nullptr)
+        log_->setMaxChain(tables_->maxChain());
+}
+
+void
+ModelFold::apply(const Event &ev)
+{
+    switch (ev.kind) {
+      case Event::Kind::Ms:
+        ms(ev.trap, ev.a, ev.physDur);
+        break;
+      case Event::Kind::OneQubit:
+        oneQubit();
+        break;
+      case Event::Kind::Measure:
+        measure();
+        break;
+      case Event::Kind::Split:
+        split(ev.trap, ev.a);
+        break;
+      case Event::Kind::Merge:
+        merge(ev.trap);
+        break;
+      case Event::Kind::Moves:
+        moves(ev.a);
+        break;
+      case Event::Kind::Junction:
+        junction();
+        break;
+      case Event::Kind::IonSwapHop:
+        ionSwapHop(ev.trap, ev.a);
+        break;
+    }
+}
 
 SimResult
 replayModelEval(const ModelEvalLog &log, const HardwareParams &hw,
                 const SimResult &base)
 {
-    const std::shared_ptr<const ModelTables> tables =
-        ModelTables::shared(hw, log.maxChain());
-    const HeatingModel heating = hw.heatingModel();
-
     SimResult out = base;
-    out.logFidelity = 0;
-    out.zeroFidelityOps = 0;
-    out.sumBackgroundError = 0;
-    out.sumMotionalError = 0;
-    out.maxChainEnergy = 0;
-
-    // The energy trajectory the recording run's DeviceState held:
-    // per-trap chain energies plus the (single, see below) in-flight
-    // ion's energy. max_seen mirrors DeviceState::maxEnergySeen —
-    // updated exactly where setEnergy / detachEnd / setFlightEnergy
-    // would have been called.
-    std::vector<Quanta> energy;
-    Quanta flight = 0;
-    Quanta max_seen = 0;
-    const auto trapEnergy = [&](TrapId t) -> Quanta & {
-        const auto idx = static_cast<size_t>(t);
-        if (idx >= energy.size())
-            energy.resize(idx + 1, 0);
-        return energy[idx];
-    };
-
-    const auto noteFidelity = [&](double fid, double log_fid) {
-        if (fid <= 0)
-            ++out.zeroFidelityOps;
-        out.logFidelity += log_fid;
-    };
-
-    using Event = ModelEvalLog::Event;
-    for (const Event &ev : log.events()) {
-        switch (ev.kind) {
-          case Event::Kind::Ms: {
-            const GateErrorBreakdown err =
-                tables->msError(ev.physDur, ev.a, trapEnergy(ev.trap));
-            const double fid = err.fidelity();
-            out.sumBackgroundError += err.background;
-            out.sumMotionalError += err.motional;
-            noteFidelity(fid,
-                         std::log(std::max(fid, kMinFidelity)));
-            break;
-          }
-          case Event::Kind::OneQubit:
-            noteFidelity(tables->fidelity().oneQubitFidelity(),
-                         tables->logOneQubitFidelity());
-            break;
-          case Event::Kind::Measure:
-            noteFidelity(tables->fidelity().measureFidelity(),
-                         tables->logMeasureFidelity());
-            break;
-          case Event::Kind::Split: {
-            Quanta &e = trapEnergy(ev.trap);
-            if (ev.a == 0) {
-                // Last ion out: it keeps the chain energy plus the
-                // split disturbance; the empty trap holds none.
-                flight = e + heating.k1();
-                e = 0;
-            } else {
-                const auto [rest, moved] =
-                    heating.afterSplit(e, ev.a, 1);
-                e = rest;
-                max_seen = std::max(max_seen, rest);
-                flight = moved;
-            }
-            max_seen = std::max(max_seen, flight);
-            break;
-          }
-          case Event::Kind::Merge: {
-            Quanta &e = trapEnergy(ev.trap);
-            Quanta merged = heating.afterMerge(e, flight);
-            merged *= hw.recoolFactor;
-            e = merged;
-            max_seen = std::max(max_seen, merged);
-            break;
-          }
-          case Event::Kind::Moves:
-            flight = heating.afterMoves(flight, ev.a);
-            max_seen = std::max(max_seen, flight);
-            break;
-          case Event::Kind::Junction:
-            flight = heating.afterJunction(flight);
-            max_seen = std::max(max_seen, flight);
-            break;
-          case Event::Kind::IonSwapHop: {
-            // Split off the swapping pair, rotate, merge back — the
-            // intermediate halves never pass through setEnergy, and
-            // the hop's merge does NOT recool (see emitIonSwapHop).
-            panicUnless(ev.a > 2,
-                        "ion-swap hop event on a chain without a split");
-            Quanta &e = trapEnergy(ev.trap);
-            const auto [rest, pair] =
-                heating.afterSplit(e, ev.a - 2, 2);
-            e = heating.afterMerge(rest, pair);
-            max_seen = std::max(max_seen, e);
-            break;
-          }
-        }
-    }
-
-    out.maxChainEnergy = max_seen;
+    ModelFold fold(hw, log.maxChain(), out);
+    for (const ModelEvalLog::Event &ev : log.events())
+        fold.apply(ev);
     return out;
 }
 

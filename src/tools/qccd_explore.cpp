@@ -344,8 +344,10 @@ runSweepMode(const std::string &sweep_file, const SweepCliOptions &cli,
     std::cout << ", " << SweepEngine::resolveJobs(run.jobs)
               << " workers\n";
 
+    // An empty range (more shards than points) is not complete: it
+    // still opens its output, so shard 0 writes the header.
     size_t failures_total = state.failedIndices.size();
-    if (done == last - first) {
+    if (done > 0 && done == last - first) {
         std::cout << out_file << " is already complete ("
                   << state.csvRows << " rows";
         if (failures_total > 0)

@@ -357,6 +357,37 @@ else
     failures=$((failures + 1))
 fi
 
+# More shards than points: an empty shard still writes its file (shard
+# 0 the header, any other nothing), so the in-order concatenation is
+# the unsharded CSV, and resuming the empty shard 0 leaves it as is.
+printf '{"name": "one", "sweeps": [{"apps": "bv"}]}\n' > "$scratch/one.sweep"
+(cd "$scratch" && "$EXPLORE" --sweep one.sweep > /dev/null 2>&1)
+for count in 2 3; do
+    shards=()
+    ran=1
+    for ((i = 0; i < count; i++)); do
+        (cd "$scratch" && "$EXPLORE" --sweep one.sweep \
+            --shard "$i/$count" > /dev/null 2>&1) || ran=0
+        shards+=("$scratch/one.shard${i}of${count}.csv")
+    done
+    if [[ $ran -eq 1 ]] && cat "${shards[@]}" 2> /dev/null \
+        | cmp -s - "$scratch/one.csv"; then
+        echo "ok: $count shards of one point concatenate to the unsharded run"
+    else
+        echo "FAIL: a one-point spec over $count shards" >&2
+        failures=$((failures + 1))
+    fi
+done
+cp "$scratch/one.shard0of2.csv" "$scratch/one.header.csv" 2> /dev/null
+if (cd "$scratch" && "$EXPLORE" --sweep one.sweep --shard 0/2 --resume \
+        > /dev/null 2>&1) \
+    && cmp -s "$scratch/one.shard0of2.csv" "$scratch/one.header.csv"; then
+    echo "ok: --resume of an empty shard 0 keeps its header-only file"
+else
+    echo "FAIL: --resume of an empty shard 0" >&2
+    failures=$((failures + 1))
+fi
+
 # A set but malformed QCCD_JOBS must exit 2 with a pointed diagnostic
 # naming the variable — never silently fall back to hardware
 # concurrency (atoi used to turn "4x" into 4 and "garbage" into a

@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "core/design_point.hpp"
 #include "core/toolflow.hpp"
+#include "sim/model_replay.hpp"
 
 namespace qccd
 {
@@ -74,6 +75,24 @@ TEST(Contracts, CheckedOnlyBlocksFollowTheSameGate)
     EXPECT_EQ(ran, 1);
 #else
     EXPECT_EQ(ran, 0);
+#endif
+}
+
+TEST(Contracts, ModelFoldFliesOneIonAtATime)
+{
+    // The fold keeps one in-flight energy: a move needs an ion in
+    // flight, and a second split would overwrite the first ion's.
+    const HardwareParams hw;
+    SimResult out;
+    ModelFold idle(hw, 4, out);
+    ModelFold flying(hw, 4, out);
+    flying.split(0, 2);
+#if QCCD_CHECKED_BUILD
+    EXPECT_THROW(idle.moves(1), InternalError);
+    EXPECT_THROW(flying.split(1, 2), InternalError);
+#else
+    EXPECT_NO_THROW(idle.moves(1));
+    EXPECT_NO_THROW(flying.split(1, 2));
 #endif
 }
 

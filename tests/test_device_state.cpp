@@ -4,6 +4,7 @@
 
 #include "arch/builders.hpp"
 #include "common/error.hpp"
+#include "compiler/reorder.hpp"
 #include "sim/device_state.hpp"
 
 namespace qccd
@@ -63,11 +64,9 @@ TEST_F(DeviceStateTest, SwapTowardMovesPhysically)
 
 TEST_F(DeviceStateTest, DetachAttachRoundTrip)
 {
-    state_.setEnergy(0, 3.0);
-    const IonId ion = state_.detachEnd(0, ChainEnd::Right, 1.25);
+    const IonId ion = state_.detachEnd(0, ChainEnd::Right);
     EXPECT_EQ(ion, 2);
     EXPECT_EQ(state_.trapOf(ion), kInvalidId);
-    EXPECT_DOUBLE_EQ(state_.flightEnergy(ion), 1.25);
     EXPECT_EQ(state_.chain(0).size(), 2);
 
     state_.attachEnd(1, ChainEnd::Left, ion);
@@ -78,7 +77,7 @@ TEST_F(DeviceStateTest, DetachAttachRoundTrip)
 
 TEST_F(DeviceStateTest, DetachLeftTakesFront)
 {
-    const IonId ion = state_.detachEnd(0, ChainEnd::Left, 0.0);
+    const IonId ion = state_.detachEnd(0, ChainEnd::Left);
     EXPECT_EQ(ion, 0);
     EXPECT_EQ(state_.chain(0).ions.front(), 1);
 }
@@ -106,18 +105,27 @@ TEST_F(DeviceStateTest, GridPortsAreAllRight)
 
 TEST_F(DeviceStateTest, EnergyTracksMaximum)
 {
-    state_.setEnergy(0, 2.0);
-    state_.setEnergy(1, 7.5);
-    state_.setEnergy(1, 1.0);
-    EXPECT_DOUBLE_EQ(state_.maxEnergySeen(), 7.5);
-    EXPECT_DOUBLE_EQ(state_.energy(1), 1.0);
+    // Energies live in the emitter's fold, not in the device state.
+    // Trap 2's lone ion flies to trap 1, which recools on the merge,
+    // so the run's maximum stays the ion's peak in flight.
+    HardwareParams hw;
+    hw.recoolFactor = 0.5;
+    SimResult result;
+    PrimitiveEmitter emitter(state_, hw, result, nullptr);
+    IonId ion = kInvalidId;
+    emitter.emitSplit(2, ChainEnd::Left, 0, &ion);
+    emitter.emitMove(1, ion, 0);
+    const Quanta peak = emitter.model().flight();
+    emitter.emitMerge(1, ChainEnd::Right, ion, 0);
+    EXPECT_DOUBLE_EQ(result.maxChainEnergy, peak);
+    EXPECT_DOUBLE_EQ(emitter.model().energy(1), (peak + 0.1) * 0.5);
+    EXPECT_LT(emitter.model().energy(1), peak);
+    EXPECT_DOUBLE_EQ(emitter.model().energy(2), 0.0);
 }
 
 TEST_F(DeviceStateTest, InvalidOperationsPanic)
 {
     EXPECT_THROW(state_.positionOf(99), InternalError);
-    EXPECT_THROW(state_.flightEnergy(0), InternalError);
-    EXPECT_THROW(state_.setEnergy(0, -1.0), InternalError);
     EXPECT_THROW(state_.junctionTimeline(topo_.trapNode(0)),
                  InternalError);
     // Attaching a trapped ion is a bug.
@@ -141,9 +149,9 @@ TEST_F(DeviceStateTest, PositionIndexConsistentThroughMutations)
     state_.swapToward(0, ChainEnd::Right);
     EXPECT_TRUE(state_.positionIndexConsistent());
 
-    const IonId right = state_.detachEnd(0, ChainEnd::Right, 0.5);
+    const IonId right = state_.detachEnd(0, ChainEnd::Right);
     EXPECT_TRUE(state_.positionIndexConsistent());
-    const IonId left = state_.detachEnd(0, ChainEnd::Left, 0.5);
+    const IonId left = state_.detachEnd(0, ChainEnd::Left);
     EXPECT_TRUE(state_.positionIndexConsistent());
 
     state_.attachEnd(1, ChainEnd::Left, right);
@@ -157,19 +165,16 @@ TEST_F(DeviceStateTest, PositionIndexConsistentThroughMutations)
 
 TEST_F(DeviceStateTest, ResetRestoresFreshState)
 {
-    state_.setEnergy(0, 3.0);
     state_.trapTimeline(1).acquire(0, 50);
-    state_.detachEnd(0, ChainEnd::Right, 1.0);
+    state_.detachEnd(0, ChainEnd::Right);
     state_.swapPayloads(0, 1);
 
     state_.reset();
 
     for (TrapId t = 0; t < topo_.trapCount(); ++t) {
         EXPECT_EQ(state_.chain(t).size(), 0);
-        EXPECT_DOUBLE_EQ(state_.energy(t), 0.0);
         EXPECT_DOUBLE_EQ(state_.trapTimeline(t).freeAt(), 0.0);
     }
-    EXPECT_DOUBLE_EQ(state_.maxEnergySeen(), 0.0);
     EXPECT_TRUE(state_.positionIndexConsistent());
 
     // The reset state accepts a fresh layout, exactly like a newly

@@ -31,6 +31,19 @@ class EmitterTest : public ::testing::Test
     SimResult result_;
     Trace trace_;
     PrimitiveEmitter emitter_;
+
+    /**
+     * Give trap 0's chain some energy the only way a schedule can:
+     * split its right-end ion off and merge it back (order unchanged).
+     * @return the chain energy afterwards
+     */
+    Quanta heatTrapZero()
+    {
+        IonId ion = kInvalidId;
+        emitter_.emitSplit(0, ChainEnd::Right, 0, &ion);
+        emitter_.emitMerge(0, ChainEnd::Right, ion, 0);
+        return emitter_.model().energy(0);
+    }
 };
 
 TEST_F(EmitterTest, MsGateChargesTrapTimeline)
@@ -51,13 +64,16 @@ TEST_F(EmitterTest, MsGateChargesTrapTimeline)
 
 TEST_F(EmitterTest, MsFidelityMatchesModel)
 {
-    state_.setEnergy(0, 2.0);
+    const Quanta nbar = heatTrapZero();
+    EXPECT_GT(nbar, 0.0);
     emitter_.emitMs(0, 4, 0, false);
     const FidelityModel model = hw_.fidelityModel();
     const GateTimeModel times = hw_.gateTimeModel();
     const double expected =
-        model.twoQubitFidelity(times.twoQubit(4, 5), 5, 2.0);
-    EXPECT_NEAR(trace_[0].fidelity, expected, 1e-12);
+        model.twoQubitFidelity(times.twoQubit(4, 5), 5, nbar);
+    ASSERT_EQ(trace_.back().kind, PrimKind::GateMS);
+    EXPECT_EQ(trace_.back().nbar, nbar);
+    EXPECT_NEAR(trace_.back().fidelity, expected, 1e-12);
     EXPECT_NEAR(result_.logFidelity, std::log(expected), 1e-12);
 }
 
@@ -71,43 +87,41 @@ TEST_F(EmitterTest, OneQubitAndMeasureTimes)
 
 TEST_F(EmitterTest, SplitDetachesAndHeats)
 {
-    state_.setEnergy(0, 1.0);
+    const Quanta energy = heatTrapZero();
     IonId ion = kInvalidId;
-    const TimeUs end = emitter_.emitSplit(0, ChainEnd::Right, 0, &ion);
-    EXPECT_DOUBLE_EQ(end, 80.0);
+    const TimeUs end = emitter_.emitSplit(0, ChainEnd::Right, 160, &ion);
+    EXPECT_DOUBLE_EQ(end, 240.0);
     EXPECT_EQ(ion, 4);
     EXPECT_EQ(state_.chain(0).size(), 4);
     // Chain keeps 4/5 of the energy plus k1; the ion takes 1/5 + k1.
-    EXPECT_NEAR(state_.energy(0), 0.8 + 0.1, 1e-12);
-    EXPECT_NEAR(state_.flightEnergy(ion), 0.2 + 0.1, 1e-12);
-    EXPECT_EQ(result_.counts.splits, 1);
+    EXPECT_NEAR(emitter_.model().energy(0), 0.8 * energy + 0.1, 1e-12);
+    EXPECT_NEAR(emitter_.model().flight(), 0.2 * energy + 0.1, 1e-12);
+    EXPECT_EQ(result_.counts.splits, 2);
 }
 
 TEST_F(EmitterTest, MergeAttachesAndHeats)
 {
     IonId ion = kInvalidId;
     emitter_.emitSplit(0, ChainEnd::Right, 0, &ion);
-    const Quanta ion_energy = state_.flightEnergy(ion);
-    const Quanta chain_energy = state_.energy(0);
+    const Quanta ion_energy = emitter_.model().flight();
 
     // Merge starts at ready=100 (split ended at 80) and runs 80 us.
     const TimeUs end = emitter_.emitMerge(1, ChainEnd::Left, ion, 100);
     EXPECT_DOUBLE_EQ(end, 180.0);
     EXPECT_EQ(state_.trapOf(ion), 1);
     // Empty destination chain: merged energy = 0 + ion energy + k1.
-    EXPECT_NEAR(state_.energy(1), ion_energy + 0.1, 1e-12);
+    EXPECT_NEAR(emitter_.model().energy(1), ion_energy + 0.1, 1e-12);
     EXPECT_EQ(result_.counts.merges, 1);
-    (void)chain_energy;
 }
 
 TEST_F(EmitterTest, MoveAddsEnergyPerSegment)
 {
     IonId ion = kInvalidId;
     emitter_.emitSplit(0, ChainEnd::Right, 0, &ion);
-    const Quanta before = state_.flightEnergy(ion);
+    const Quanta before = emitter_.model().flight();
     const TimeUs end = emitter_.emitMove(0, ion, 1000);
     EXPECT_DOUBLE_EQ(end, 1005.0); // one segment, 5 us
-    EXPECT_NEAR(state_.flightEnergy(ion), before + 0.01, 1e-12);
+    EXPECT_NEAR(emitter_.model().flight(), before + 0.01, 1e-12);
     EXPECT_EQ(result_.counts.segmentsMoved, 1);
 }
 
@@ -152,7 +166,7 @@ TEST_F(EmitterTest, IsReorderHopsPhysically)
     EXPECT_EQ(result_.counts.splits, 3);
     EXPECT_EQ(result_.counts.merges, 3);
     // Each hop adds 3*k1 = 0.3 quanta.
-    EXPECT_NEAR(state_.energy(0), 0.9, 1e-12);
+    EXPECT_NEAR(is_emitter.model().energy(0), 0.9, 1e-12);
     EXPECT_DOUBLE_EQ(done, 3 * (80 + 50 + 80));
 }
 
@@ -182,7 +196,7 @@ TEST_F(EmitterTest, ZeroCommModeKeepsHeatingAndFidelity)
     IonId ion = kInvalidId;
     const TimeUs end = zero.emitSplit(0, ChainEnd::Right, 0, &ion);
     EXPECT_DOUBLE_EQ(end, 0.0); // zero duration
-    EXPECT_GT(state_.flightEnergy(ion), 0.0); // heating still applied
+    EXPECT_GT(zero.model().flight(), 0.0); // heating still applied
 }
 
 TEST_F(EmitterTest, QubitReadinessRespected)

@@ -127,7 +127,6 @@ sameTables(const ModelTables &a, const ModelTables &b)
     if (a.maxChain() != b.maxChain() ||
         a.logOneQubitFidelity() != b.logOneQubitFidelity() ||
         a.logMeasureFidelity() != b.logMeasureFidelity() ||
-        a.logUnitFidelity() != b.logUnitFidelity() ||
         a.gateTime().impl() != b.gateTime().impl() ||
         a.gateTime().oneQubit() != b.gateTime().oneQubit() ||
         a.gateTime().measure() != b.gateTime().measure() ||

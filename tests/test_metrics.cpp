@@ -5,50 +5,45 @@
 #include <cmath>
 
 #include "sim/metrics.hpp"
+#include "sim/model_replay.hpp"
 
 namespace qccd
 {
 namespace
 {
 
-PrimOp
-msOp(TimeUs start, TimeUs dur, double fid, bool comm = false)
-{
-    PrimOp op;
-    op.kind = PrimKind::GateMS;
-    op.start = start;
-    op.duration = dur;
-    op.fidelity = fid;
-    op.errBackground = 0.1;
-    op.errMotional = 0.2;
-    op.forCommunication = comm;
-    op.separation = 1;
-    op.chainLength = 2;
-    return op;
-}
+constexpr int kMaxChain = 4;
 
 TEST(Metrics, MakespanTracksLatestEnd)
 {
     SimResult r;
-    r.noteOp(msOp(0, 100, 0.99));
-    r.noteOp(msOp(50, 10, 0.99));
+    r.noteOp(PrimKind::GateMS, 100, 100, false);
+    r.noteOp(PrimKind::GateMS, 60, 10, false);
     EXPECT_DOUBLE_EQ(r.makespan, 100.0);
-    r.noteOp(msOp(500, 20, 0.99));
+    r.noteOp(PrimKind::GateMS, 520, 20, false);
     EXPECT_DOUBLE_EQ(r.makespan, 520.0);
 }
 
 TEST(Metrics, FidelityIsProductOfOps)
 {
+    HardwareParams hw;
+    hw.oneQubitError = 0.1;
+    hw.measureError = 0.2;
     SimResult r;
-    r.noteOp(msOp(0, 1, 0.9));
-    r.noteOp(msOp(0, 1, 0.8));
+    ModelFold fold(hw, kMaxChain, r);
+    fold.oneQubit();
+    fold.measure();
     EXPECT_NEAR(r.fidelity(), 0.72, 1e-12);
 }
 
 TEST(Metrics, ZeroFidelityClampedNotFatal)
 {
+    // A 2 s gate: the background term alone exceeds 1, so the gate
+    // error clamps to 1 and its fidelity to 0.
+    const HardwareParams hw;
     SimResult r;
-    r.noteOp(msOp(0, 1, 0.0));
+    ModelFold fold(hw, kMaxChain, r);
+    EXPECT_EQ(fold.ms(0, 2, 2e6).fidelity(), 0.0);
     EXPECT_EQ(r.zeroFidelityOps, 1);
     EXPECT_GT(r.fidelity(), 0.0);
     EXPECT_TRUE(std::isfinite(r.logFidelity));
@@ -57,19 +52,10 @@ TEST(Metrics, ZeroFidelityClampedNotFatal)
 TEST(Metrics, CountsByKind)
 {
     SimResult r;
-    r.noteOp(msOp(0, 1, 1.0, false));
-    r.noteOp(msOp(0, 1, 1.0, true));
-
-    PrimOp split;
-    split.kind = PrimKind::Split;
-    split.forCommunication = true;
-    split.fidelity = 1.0;
-    r.noteOp(split);
-
-    PrimOp one;
-    one.kind = PrimKind::Gate1Q;
-    one.fidelity = 1.0;
-    r.noteOp(one);
+    r.noteOp(PrimKind::GateMS, 1, 1, false);
+    r.noteOp(PrimKind::GateMS, 1, 1, true);
+    r.noteOp(PrimKind::Split, 0, 0, true);
+    r.noteOp(PrimKind::Gate1Q, 0, 0, false);
 
     EXPECT_EQ(r.counts.algorithmMs, 1);
     EXPECT_EQ(r.counts.reorderMs, 1);
@@ -81,14 +67,9 @@ TEST(Metrics, CountsByKind)
 TEST(Metrics, BusyTimeSplitsByClass)
 {
     SimResult r;
-    r.noteOp(msOp(0, 100, 1.0, false)); // compute
-    r.noteOp(msOp(0, 30, 1.0, true));   // comm (reorder gate)
-    PrimOp merge;
-    merge.kind = PrimKind::Merge;
-    merge.duration = 80;
-    merge.forCommunication = true;
-    merge.fidelity = 1.0;
-    r.noteOp(merge);
+    r.noteOp(PrimKind::GateMS, 100, 100, false); // compute
+    r.noteOp(PrimKind::GateMS, 30, 30, true);    // comm (reorder gate)
+    r.noteOp(PrimKind::Merge, 80, 80, true);
 
     EXPECT_DOUBLE_EQ(r.computeBusy, 100.0);
     EXPECT_DOUBLE_EQ(r.commBusy, 110.0);
@@ -96,11 +77,15 @@ TEST(Metrics, BusyTimeSplitsByClass)
 
 TEST(Metrics, ErrorDecompositionAverages)
 {
+    const HardwareParams hw;
     SimResult r;
-    r.noteOp(msOp(0, 1, 0.7));
-    r.noteOp(msOp(0, 1, 0.7));
-    EXPECT_NEAR(r.meanBackgroundError(), 0.1, 1e-12);
-    EXPECT_NEAR(r.meanMotionalError(), 0.2, 1e-12);
+    ModelFold fold(hw, kMaxChain, r);
+    const GateErrorBreakdown err = fold.ms(0, 2, 100);
+    fold.ms(0, 2, 100);
+    r.noteOp(PrimKind::GateMS, 100, 100, false);
+    r.noteOp(PrimKind::GateMS, 200, 100, false);
+    EXPECT_NEAR(r.meanBackgroundError(), err.background, 1e-12);
+    EXPECT_NEAR(r.meanMotionalError(), err.motional, 1e-12);
 }
 
 TEST(Metrics, EmptyResultDefaults)

@@ -72,7 +72,7 @@ TEST(ModelTables, MsErrorMatchesTwoQubitErrorExactly)
     }
 }
 
-TEST(ModelTables, LogFidelitiesMatchNoteOpClamp)
+TEST(ModelTables, LogFidelitiesMatchTheFoldClamp)
 {
     HardwareParams hw;
     hw.oneQubitError = 4.2e-4;
@@ -83,9 +83,6 @@ TEST(ModelTables, LogFidelitiesMatchNoteOpClamp)
               std::log(std::max(model.oneQubitFidelity(), kMinFidelity)));
     EXPECT_EQ(tables.logMeasureFidelity(),
               std::log(std::max(model.measureFidelity(), kMinFidelity)));
-    EXPECT_EQ(tables.logUnitFidelity(),
-              std::log(std::max(1.0, kMinFidelity)));
-    EXPECT_EQ(tables.logUnitFidelity(), 0.0);
 }
 
 TEST(ModelTables, SharedCacheReturnsOneInstancePerParameterization)
