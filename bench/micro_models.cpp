@@ -34,7 +34,7 @@ using namespace qccd;
 void
 BM_GateTimeModel(benchmark::State &state)
 {
-    const GateTimeModel model(GateImpl::FM);
+    const GateTimeModel model = HardwareParams{}.gateTimeModel();
     int d = 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(model.twoQubit(1 + d % 19, 20));
@@ -46,7 +46,7 @@ BENCHMARK(BM_GateTimeModel);
 void
 BM_FidelityModel(benchmark::State &state)
 {
-    const FidelityModel model;
+    const FidelityModel model = HardwareParams{}.fidelityModel();
     double nbar = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(model.twoQubitError(200.0, 20, nbar));

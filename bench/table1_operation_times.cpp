@@ -9,8 +9,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "models/gate_time.hpp"
-#include "models/shuttle_time.hpp"
+#include "models/params.hpp"
 
 int
 main()
@@ -37,9 +36,11 @@ main()
     TextTable t2;
     t2.addRow({"impl", "d=1,N=15", "d=7,N=15", "d=14,N=15", "d=1,N=30",
                "d=29,N=30"});
+    HardwareParams hw;
     for (GateImpl impl : {GateImpl::AM1, GateImpl::AM2, GateImpl::PM,
                           GateImpl::FM}) {
-        const GateTimeModel model(impl);
+        hw.gateImpl = impl;
+        const GateTimeModel model = hw.gateTimeModel();
         t2.addRow({gateImplName(impl),
                    formatSig(model.twoQubit(1, 15), 4),
                    formatSig(model.twoQubit(7, 15), 4),

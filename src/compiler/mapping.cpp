@@ -7,16 +7,6 @@
 namespace qccd
 {
 
-std::string
-mappingPolicyName(MappingPolicy policy)
-{
-    switch (policy) {
-      case MappingPolicy::Packed: return "packed";
-      case MappingPolicy::Balanced: return "balanced";
-    }
-    throw InternalError("unknown MappingPolicy");
-}
-
 MappingPolicy
 mappingPolicyFromName(const std::string &name)
 {

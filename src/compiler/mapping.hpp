@@ -33,9 +33,6 @@ enum class MappingPolicy
     Balanced
 };
 
-/** Lowercase policy name ("packed" / "balanced"). */
-std::string mappingPolicyName(MappingPolicy policy);
-
 /** Parse a policy name; throws ConfigError on bad input. */
 MappingPolicy mappingPolicyFromName(const std::string &name);
 

@@ -333,12 +333,4 @@ CalibratedCostModel::correct(const CostPrediction &prior) const
     return out;
 }
 
-CostPrediction
-CalibratedCostModel::predict(const DesignPoint &design,
-                             const CircuitStats &stats,
-                             const TopologyFeatures &topo) const
-{
-    return correct(prior_.predict(design, stats, topo));
-}
-
 } // namespace qccd

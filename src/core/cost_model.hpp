@@ -2,23 +2,23 @@
  * @file
  * Surrogate cost models for design-space search (core/search.hpp).
  *
- * A CostModel predicts the two objectives a sweep measures — log
+ * The surrogate predicts the two objectives a sweep measures — log
  * fidelity and makespan — from a design point, the application's
  * CircuitStats, and a TopologyFeatures digest of the device graph,
  * WITHOUT running the simulator. The search layer ranks the declared
  * space by these predictions and spends its real-evaluation budget on
  * the predicted frontier only; the simulator stays the oracle that
- * decides the winner (the Halide-autoscheduler shape: one CostModel
- * interface, pluggable cheap backends).
+ * decides the winner (the Halide-autoscheduler shape: a cheap model
+ * ranks, the expensive one decides).
  *
- * Two backends ship:
+ * Two stages make it up:
  *
  *  - AnalyticCostModel: closed-form over the same physical models the
  *    simulator runs (ModelTables' per-knob fidelity terms, the MS-gate
  *    duration at the packed chain length, heating from the estimated
  *    shuttle traffic). Deterministic, stateless, no tuning inputs.
  *
- *  - CalibratedCostModel: corrects the analytic predictions with
+ *  - CalibratedCostModel: corrects those analytic predictions with
  *    per-objective least-squares affine fits against real runToolflow
  *    samples (log-fidelity and log-runtime). Fits are deterministic
  *    (fixed accumulation order) and monotone by construction — slopes
@@ -88,19 +88,6 @@ struct CostPrediction
     double timeUs = 0;
 };
 
-/** Abstract surrogate: predict the sweep objectives without running
- *  the simulator. Implementations must be deterministic and safe to
- *  call concurrently. */
-class CostModel
-{
-  public:
-    virtual ~CostModel() = default;
-
-    virtual CostPrediction
-    predict(const DesignPoint &design, const CircuitStats &stats,
-            const TopologyFeatures &topo) const = 0;
-};
-
 /**
  * Closed-form surrogate over circuit stats x topology features.
  *
@@ -117,25 +104,27 @@ class CostModel
  * capacities and topologies — exactly like the simulator, which makes
  * index order the tie-break in both worlds.
  */
-class AnalyticCostModel : public CostModel
+class AnalyticCostModel
 {
   public:
+    /** Deterministic and safe to call concurrently. */
     CostPrediction predict(const DesignPoint &design,
                            const CircuitStats &stats,
-                           const TopologyFeatures &topo) const override;
+                           const TopologyFeatures &topo) const;
 };
 
 /**
  * Analytic surrogate corrected by least squares against real samples.
  *
  * fit() regresses measured log-fidelity on the analytic prediction
- * (and log-runtime likewise, in the log domain) and predict() applies
- * the affine corrections. See the file comment for the monotonicity
- * guard; with fewer than kSlopeFitMinSamples samples only intercepts
- * are fitted. fit() is idempotent and reproducible: the same samples
- * in the same order produce bit-identical coefficients.
+ * (and log-runtime likewise, in the log domain) and correct() applies
+ * the affine corrections to an analytic prior. See the file comment
+ * for the monotonicity guard; with fewer than kSlopeFitMinSamples
+ * samples only intercepts are fitted. fit() is idempotent and
+ * reproducible: the same samples in the same order produce
+ * bit-identical coefficients.
  */
-class CalibratedCostModel : public CostModel
+class CalibratedCostModel
 {
   public:
     /** One real evaluation paired with its analytic prior. */
@@ -155,10 +144,6 @@ class CalibratedCostModel : public CostModel
     /** Apply the fitted corrections to an analytic prior. */
     CostPrediction correct(const CostPrediction &prior) const;
 
-    CostPrediction predict(const DesignPoint &design,
-                           const CircuitStats &stats,
-                           const TopologyFeatures &topo) const override;
-
     /** Fitted log-fidelity correction: corrected = a + b * prior. @{ */
     double fidelityIntercept() const { return fidA_; }
     double fidelitySlope() const { return fidB_; }
@@ -170,7 +155,6 @@ class CalibratedCostModel : public CostModel
     /** @} */
 
   private:
-    AnalyticCostModel prior_;
     double fidA_ = 0;
     double fidB_ = 1;
     double timeA_ = 0;

@@ -26,7 +26,8 @@
  *    [unknown-app, unknown-gate, unknown-reorder, unknown-policy], bad
  *    topology specs [bad-topology], empty `qasm:`/`topo:` paths
  *    [missing-file], capacity bounds [bad-capacity, bad-buffer], and
- *    "params" values outside their model's range [bad-param].
+ *    "params" values outside their knob's kHardwareKnobs range
+ *    [bad-param]; the message names the key.
  *  - `.sweep`, lint's own checks on what the parser accepted: duplicate
  *    axis values [duplicate-axis-value, warning], `qasm:`/`topo:` paths
  *    that do not resolve [missing-file], devices that fail to build

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <csignal>
 #include <fstream>
+#include <type_traits>
 #include <utility>
 
 #include <fcntl.h>
@@ -94,6 +95,31 @@ class ByteReader
     size_t pos_ = 0;
     bool ok_ = true;
 };
+
+/**
+ * Call @p f on every field of @p result (const or not) in payload
+ * order, which is declaration order: a double is stored as f64, a long
+ * as i64 and an int as u32. The bindings name every data member, so a
+ * new field breaks the build until it is placed here and
+ * kSchemaVersion is bumped.
+ */
+template <typename Result, typename Fn>
+void
+forEachStoredField(Result &result, Fn &&f)
+{
+    auto &[sim, compute_only] = result;
+    auto &[makespan, log_fidelity, zero_fidelity_ops, counts, max_energy,
+           background, motional, compute_busy, comm_busy, buffer] = sim;
+    auto &[algorithm_ms, reorder_ms, one_qubit, measurements, splits,
+           merges, moves, segments, junctions, rotations, transits,
+           shuttles, evictions, pass_throughs] = counts;
+    const auto each = [&f](auto &...field) { (f(field), ...); };
+    each(makespan, log_fidelity, zero_fidelity_ops, algorithm_ms,
+         reorder_ms, one_qubit, measurements, splits, merges, moves,
+         segments, junctions, rotations, transits, shuttles, evictions,
+         pass_throughs, max_energy, background, motional, compute_busy,
+         comm_busy, buffer, compute_only);
+}
 
 /** How readRegularFile() ended. */
 enum class ReadStatus
@@ -588,8 +614,8 @@ ResultStore::keyFor(const DesignPoint &design,
             hash.f64(value);
     }
 
-    // Result-affecting options only: timeouts and trace collection
-    // cannot change the metrics of a point that completes.
+    // Result-affecting options only: a timeout cannot change the
+    // metrics of a point that completes.
     hash.i64(static_cast<int64_t>(options.mappingPolicy));
     hash.i64(options.decomposeRuntime ? 1 : 0);
 
@@ -624,33 +650,18 @@ ResultStore::encodeRecordPayload(const Digest128 &key,
     out.reserve(kPayloadSize);
     putU64(out, key.hi);
     putU64(out, key.lo);
-
-    const SimResult &sim = result.sim;
-    putF64(out, sim.makespan);
-    putF64(out, sim.logFidelity);
-    putI64(out, sim.zeroFidelityOps);
-    putI64(out, sim.counts.algorithmMs);
-    putI64(out, sim.counts.reorderMs);
-    putI64(out, sim.counts.oneQubit);
-    putI64(out, sim.counts.measurements);
-    putI64(out, sim.counts.splits);
-    putI64(out, sim.counts.merges);
-    putI64(out, sim.counts.moves);
-    putI64(out, sim.counts.segmentsMoved);
-    putI64(out, sim.counts.junctionCrossings);
-    putI64(out, sim.counts.rotations);
-    putI64(out, sim.counts.transits);
-    putI64(out, sim.counts.shuttles);
-    putI64(out, sim.counts.evictions);
-    putI64(out, sim.counts.trapPassThroughs);
-    putF64(out, sim.maxChainEnergy);
-    putF64(out, sim.sumBackgroundError);
-    putF64(out, sim.sumMotionalError);
-    putF64(out, sim.computeBusy);
-    putF64(out, sim.commBusy);
-    putU32(out, static_cast<uint32_t>(sim.effectiveBuffer));
-    putF64(out, result.computeOnlyTime);
-
+    forEachStoredField(result, [&out](const auto &field) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, double>)
+            putF64(out, field);
+        else if constexpr (std::is_same_v<T, long>)
+            putI64(out, field);
+        else {
+            static_assert(std::is_same_v<T, int>,
+                          "a stored field needs an encoding");
+            putU32(out, static_cast<uint32_t>(field));
+        }
+    });
     panicUnless(out.size() == kPayloadSize,
                 "result record payload size drifted from the schema");
     return out;
@@ -665,32 +676,15 @@ ResultStore::decodeRecordPayload(std::string_view payload,
     ByteReader reader(payload);
     key->hi = reader.u64();
     key->lo = reader.u64();
-
-    SimResult &sim = result->sim;
-    sim.makespan = reader.f64();
-    sim.logFidelity = reader.f64();
-    sim.zeroFidelityOps = reader.i64();
-    sim.counts.algorithmMs = reader.i64();
-    sim.counts.reorderMs = reader.i64();
-    sim.counts.oneQubit = reader.i64();
-    sim.counts.measurements = reader.i64();
-    sim.counts.splits = reader.i64();
-    sim.counts.merges = reader.i64();
-    sim.counts.moves = reader.i64();
-    sim.counts.segmentsMoved = reader.i64();
-    sim.counts.junctionCrossings = reader.i64();
-    sim.counts.rotations = reader.i64();
-    sim.counts.transits = reader.i64();
-    sim.counts.shuttles = reader.i64();
-    sim.counts.evictions = reader.i64();
-    sim.counts.trapPassThroughs = reader.i64();
-    sim.maxChainEnergy = reader.f64();
-    sim.sumBackgroundError = reader.f64();
-    sim.sumMotionalError = reader.f64();
-    sim.computeBusy = reader.f64();
-    sim.commBusy = reader.f64();
-    sim.effectiveBuffer = reader.i32();
-    result->computeOnlyTime = reader.f64();
+    forEachStoredField(*result, [&reader](auto &field) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, double>)
+            field = reader.f64();
+        else if constexpr (std::is_same_v<T, long>)
+            field = reader.i64();
+        else
+            field = reader.i32();
+    });
     return reader.done();
 }
 

@@ -18,8 +18,8 @@
  *              u32 reserved (zero)
  *     record*  u32 payload length (always kPayloadSize for version 1)
  *              u64 FNV-1a checksum of the payload
- *              payload: 128-bit key then the RunResult fields in the
- *              fixed order encodeRecordPayload() documents
+ *              payload: 128-bit key then the RunResult fields in
+ *              declaration order (double f64, long i64, int u32)
  *
  * Records are committed by flushed append, so a partial file of a
  * killed run is a valid store plus at most one torn tail. Open-time

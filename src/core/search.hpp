@@ -8,7 +8,7 @@
  * SweepPlan can declare (arbitrary `.topo` graphs x capacities x 17
  * model knobs) are far larger. SearchEngine decodes plan points on
  * demand (SweepGrid::point decodes any index), scores every
- * candidate with a cheap CostModel (core/cost_model.hpp), and spends
+ * candidate with a cheap cost model (core/cost_model.hpp), and spends
  * its real-evaluation budget successively-halving down the predicted
  * frontier. Real evaluations run through the existing
  * SweepSpecRunner -> SweepEngine -> StagedToolflow -> ResultStore

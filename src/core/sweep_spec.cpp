@@ -140,11 +140,11 @@ class SpecBuilder
     }
 
     /**
-     * Run a name-lookup helper (gate/reorder/policy names, parameter
-     * keys) whose ConfigErrors carry no document position, and report
-     * them under @p code at @p value. Errors raised via report()
-     * elsewhere already carry their position and must not pass through
-     * this (the prefix would double up).
+     * Run a lookup or check helper (gate/reorder/policy names, knob
+     * keys and values) whose ConfigErrors carry no document position,
+     * and report them under @p code at @p value. Errors raised via
+     * report() elsewhere already carry their position and must not pass
+     * through this (the prefix would double up).
      */
     template <typename Fn>
     auto lookupAt(const char *code, const JsonValue &value, Fn &&fn) const
@@ -156,6 +156,22 @@ class SpecBuilder
             report(code, value, err.what());
             return std::nullopt;
         }
+    }
+
+    /**
+     * Whether @p knob's row accepts the number @p value: its type rule
+     * reports under [bad-kind], its range rule under @p range_code.
+     */
+    bool knobAccepts(const HardwareKnob &knob, const JsonValue &value,
+                     const char *range_code) const
+    {
+        return lookupAt("bad-kind", value, [&] {
+                   knob.check(value.number);
+                   return true;
+               }) && lookupAt(range_code, value, [&] {
+                   knob.checkRange(value.number);
+                   return true;
+               });
     }
 
     /** A string value resolved by @p fromName, e.g. a gate name. */
@@ -222,14 +238,10 @@ class SpecBuilder
         }
         if (key == "buffer") {
             const std::optional<int> buffer = intOf(value, "\"buffer\"");
-            if (!buffer)
+            if (!buffer ||
+                !knobAccepts(hardwareKnob("buffer_slots"), value,
+                             "bad-buffer"))
                 return nullptr;
-            if (*buffer < 0) {
-                report("bad-buffer", value,
-                       "buffer slots must be non-negative, got " +
-                           std::to_string(*buffer));
-                return nullptr;
-            }
             return [buffer = *buffer](PlannedPoint &point) {
                 point.design.hw.bufferSlots = buffer;
             };
@@ -264,18 +276,7 @@ class SpecBuilder
             const auto knob = lookupAt("unknown-param", pv, [&] {
                 return &hardwareKnob(param);
             });
-            // Every model range is per field, so the value checked on
-            // otherwise default parameters passes or fails as it would
-            // next to any other values.
-            if (knob && lookupAt("bad-kind", pv, [&] {
-                    (*knob)->check(pv.number);
-                    return true;
-                }) && lookupAt("bad-param", pv, [&] {
-                    HardwareParams hw;
-                    (*knob)->set(hw, pv.number);
-                    hw.validate();
-                    return true;
-                }))
+            if (knob && knobAccepts(**knob, pv, "bad-param"))
                 overrides.emplace_back(*knob, pv.number);
         }
         if (overrides.size() != value.members.size())
@@ -406,7 +407,6 @@ class SpecBuilder
     {
         if (!expect(value, JsonValue::Kind::Object, "\"search\""))
             return;
-        search.declared = true;
         for (const auto &[key, v] : value.members) {
             if (key == "budget") {
                 const std::optional<int> budget = intOf(v, "\"budget\"");

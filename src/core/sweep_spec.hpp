@@ -119,9 +119,6 @@ struct SweepSpec
  *  (`"search"` block; see core/search.hpp for the semantics). */
 struct SearchSpecOptions
 {
-    /** True when the spec declared a "search" block. */
-    bool declared = false;
-
     /** Real-evaluation budget; 0 = default (a quarter of the space,
      *  the headline ratio, but at least one point). */
     size_t budget = 0;

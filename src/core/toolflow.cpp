@@ -42,7 +42,7 @@ scheduleKeyFor(const Circuit &native, const DesignPoint &design,
                        design.topologySpec, design.trapCapacity,
                        knobValues(design.hw, kScheduleKeyKnobs),
                        options.mappingPolicy, options.decomposeRuntime,
-                       options.collectTrace, options.pointTimeoutMs};
+                       options.pointTimeoutMs};
 }
 
 namespace
@@ -103,7 +103,7 @@ runToolflowImpl(const Circuit &native, const DesignPoint &design,
     InitialMapping mapping;
     {
         ScheduleOptions sched;
-        sched.collectTrace = options.collectTrace;
+        sched.collectTrace = false;
         sched.mappingPolicy = options.mappingPolicy;
         sched.deadline = deadline;
         sched.placement = placement;

@@ -68,8 +68,8 @@ struct PlacementKey
  * scheduler's decisions, the emitted primitive sequence, or any
  * primitive's duration — circuit identity (see PlacementKey), the
  * architecture, the kScheduleKeyKnobs knobs, the placement policy and
- * the run options that alter scheduling (the decomposition pass, trace
- * collection, the watchdog budget).
+ * the run options that alter scheduling (the decomposition pass, the
+ * watchdog budget).
  *
  * Runs with equal schedule keys emit bit-identical schedules; they may
  * differ only in the model-only knobs, whose effects a recorded
@@ -86,7 +86,6 @@ struct ScheduleKey
     KnobValues knobs{}; ///< knobValues(hw, kScheduleKeyKnobs)
     MappingPolicy mappingPolicy = MappingPolicy::Packed;
     bool decomposeRuntime = false;
-    bool collectTrace = false;
     long pointTimeoutMs = 0;
 
     friend auto operator<=>(const ScheduleKey &, const ScheduleKey &) =
@@ -111,8 +110,6 @@ struct RunResult
 /** Toolflow execution options. */
 struct RunOptions
 {
-    bool collectTrace = false;
-
     /** Also run the zero-communication pass for the Fig. 6b split. */
     bool decomposeRuntime = false;
 
@@ -305,9 +302,8 @@ RunResult runToolflow(const Circuit &native, const DesignPoint &design,
 /**
  * Like runToolflow but also returns the full schedule (trace and
  * mapping) for inspection; always collects the trace. Honors the
- * schedule-shaping options (mappingPolicy, pointTimeoutMs); the
- * trace/decompose flags are ignored (the trace is always collected,
- * and there is no second pass to decompose).
+ * schedule-shaping options (mappingPolicy, pointTimeoutMs) and ignores
+ * decomposeRuntime (there is no second pass to decompose).
  */
 ScheduleResult runToolflowDetailed(const Circuit &circuit,
                                    const DesignPoint &design,

@@ -14,19 +14,6 @@ GateErrorBreakdown::total() const
     return std::clamp(background + motional, 0.0, 1.0);
 }
 
-FidelityModel::FidelityModel(double gamma_per_s, double kappa,
-                             double one_qubit_error, double measure_error)
-    : gammaPerS_(gamma_per_s), kappa_(kappa),
-      oneQubitError_(one_qubit_error), measureError_(measure_error)
-{
-    fatalUnless(gamma_per_s >= 0, "background rate must be non-negative");
-    fatalUnless(kappa >= 0, "kappa must be non-negative");
-    fatalUnless(one_qubit_error >= 0 && one_qubit_error < 1,
-                "one-qubit error must be in [0, 1)");
-    fatalUnless(measure_error >= 0 && measure_error < 1,
-                "measurement error must be in [0, 1)");
-}
-
 double
 FidelityModel::scaleFactorA(int n) const
 {

@@ -11,9 +11,10 @@
  * length. The second term models thermal laser-beam instabilities, which
  * is why it grows with chain length and chain temperature.
  *
- * Gamma and kappa are not stated numerically in the paper; the defaults
- * here are calibrated so the published result shapes reproduce (see
- * DESIGN.md Section 3 and EXPERIMENTS.md).
+ * Gamma and kappa are not stated numerically in the paper; their
+ * defaults in HardwareParams (models/params.hpp) are calibrated so the
+ * published result shapes reproduce (see DESIGN.md Section 3 and
+ * EXPERIMENTS.md).
  */
 
 #ifndef QCCD_MODELS_FIDELITY_HPP
@@ -42,14 +43,17 @@ class FidelityModel
 {
   public:
     /**
+     * HardwareParams::validate() checks these knobs' ranges.
+     *
      * @param gamma_per_s background heating error rate, per second
      * @param kappa laser-instability prefactor of A = kappa*N/ln(N)
      * @param one_qubit_error constant single-qubit gate error
      * @param measure_error constant measurement error
      */
-    explicit FidelityModel(double gamma_per_s = 1.0, double kappa = 5e-6,
-                           double one_qubit_error = 3e-5,
-                           double measure_error = 1e-3);
+    explicit FidelityModel(double gamma_per_s, double kappa,
+                           double one_qubit_error, double measure_error)
+        : gammaPerS_(gamma_per_s), kappa_(kappa),
+          oneQubitError_(one_qubit_error), measureError_(measure_error) {}
 
     /**
      * Error terms of one MS gate.

@@ -30,16 +30,6 @@ gateImplFromName(const std::string &name)
                       "' (expected AM1, AM2, PM or FM)");
 }
 
-GateTimeModel::GateTimeModel(GateImpl impl, TimeUs one_qubit_us,
-                             TimeUs measure_us, TimeUs floor_us)
-    : impl_(impl), oneQubitUs_(one_qubit_us), measureUs_(measure_us),
-      floorUs_(floor_us)
-{
-    fatalUnless(one_qubit_us > 0, "one-qubit gate time must be positive");
-    fatalUnless(measure_us > 0, "measurement time must be positive");
-    fatalUnless(floor_us > 0, "gate time floor must be positive");
-}
-
 TimeUs
 GateTimeModel::twoQubit(int separation, int chain_length) const
 {

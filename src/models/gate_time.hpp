@@ -14,7 +14,7 @@
  * All times in microseconds. d is the positional separation between the
  * two ions (adjacent ions: d = 1); N is the chain length. Because the
  * published AM1 fit goes negative at d = 0 the model clamps every duration
- * to a configurable floor (default 10 us).
+ * to a configurable floor (HardwareParams' default: 10 us).
  */
 
 #ifndef QCCD_MODELS_GATE_TIME_HPP
@@ -47,14 +47,17 @@ class GateTimeModel
 {
   public:
     /**
+     * HardwareParams::validate() checks these knobs' ranges.
+     *
      * @param impl two-qubit pulse modulation scheme
      * @param one_qubit_us duration of a single-qubit rotation
      * @param measure_us duration of a qubit measurement
      * @param floor_us minimum physical two-qubit gate duration
      */
-    explicit GateTimeModel(GateImpl impl, TimeUs one_qubit_us = 5.0,
-                           TimeUs measure_us = 150.0,
-                           TimeUs floor_us = 10.0);
+    explicit GateTimeModel(GateImpl impl, TimeUs one_qubit_us,
+                           TimeUs measure_us, TimeUs floor_us)
+        : impl_(impl), oneQubitUs_(one_qubit_us), measureUs_(measure_us),
+          floorUs_(floor_us) {}
 
     /**
      * Duration of one MS gate.

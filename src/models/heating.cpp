@@ -5,12 +5,6 @@
 namespace qccd
 {
 
-HeatingModel::HeatingModel(Quanta k1, Quanta k2) : k1_(k1), k2_(k2)
-{
-    fatalUnless(k1 >= 0 && k2 >= 0,
-                "heating constants k1, k2 must be non-negative");
-}
-
 std::pair<Quanta, Quanta>
 HeatingModel::afterSplit(Quanta parent_energy, int ions_a, int ions_b) const
 {

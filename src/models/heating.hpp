@@ -13,10 +13,10 @@
  *  - move: the transported chain gains k2 per segment traversed;
  *  - junction crossing: gains k2 (assumption, see DESIGN.md).
  *
- * Defaults k1 = 0.1 and k2 = 0.01 are the paper's values: one order of
- * magnitude below the per-operation heating Honeywell measured on its
- * 4-qubit QCCD system, anticipating the improvement needed for 50-100
- * qubit devices.
+ * HardwareParams' defaults k1 = 0.1 and k2 = 0.01 are the paper's
+ * values: one order of magnitude below the per-operation heating
+ * Honeywell measured on its 4-qubit QCCD system, anticipating the
+ * improvement needed for 50-100 qubit devices.
  */
 
 #ifndef QCCD_MODELS_HEATING_HPP
@@ -34,10 +34,12 @@ class HeatingModel
 {
   public:
     /**
+     * HardwareParams::validate() checks these knobs' ranges.
+     *
      * @param k1 quanta added to each chain by a split or merge
      * @param k2 quanta added per segment (and per junction) moved
      */
-    explicit HeatingModel(Quanta k1 = 0.1, Quanta k2 = 0.01);
+    explicit HeatingModel(Quanta k1, Quanta k2) : k1_(k1), k2_(k2) {}
 
     /**
      * Energies of the two sub-chains after splitting a parent chain.

@@ -57,6 +57,27 @@ HardwareKnob::check(double value) const
                           "' takes an integer value");
 }
 
+void
+HardwareKnob::checkRange(double value) const
+{
+    // Each test is written so that NaN fails it.
+    const auto [ok, bound] = [&]() -> std::pair<bool, const char *> {
+        switch (range) {
+          case KnobRange::Any: return {true, ""};
+          case KnobRange::Positive: return {value > 0, "positive"};
+          case KnobRange::NonNegative: return {value >= 0, "non-negative"};
+          case KnobRange::Probability:
+            return {value >= 0 && value < 1, "in [0, 1)"};
+          case KnobRange::Fraction:
+            return {value > 0 && value <= 1, "in (0, 1]"};
+        }
+        throw InternalError("unknown KnobRange");
+    }();
+    if (!ok)
+        throw ConfigError("parameter '" + std::string(name) + "' must be " +
+                          bound);
+}
+
 KnobValues
 knobValues(const HardwareParams &hw, unsigned keys)
 {
@@ -102,14 +123,8 @@ hardwareOverrideKeys()
 void
 HardwareParams::validate() const
 {
-    shuttle.validate();
-    fatalUnless(bufferSlots >= 0, "buffer slots must be non-negative");
-    fatalUnless(recoolFactor > 0 && recoolFactor <= 1.0,
-                "recool factor must be in (0, 1]");
-    // The model constructors validate their own parameters.
-    gateTimeModel();
-    heatingModel();
-    fidelityModel();
+    for (const HardwareKnob &row : kHardwareKnobs)
+        row.checkRange(row.get(*this));
 }
 
 } // namespace qccd

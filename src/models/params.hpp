@@ -78,7 +78,8 @@ struct HardwareParams
     /** Instantiate the fidelity model from these parameters. */
     FidelityModel fidelityModel() const;
 
-    /** Validate all parameters; throws ConfigError on violations. */
+    /** Check every knob against its kHardwareKnobs range; throws
+     *  ConfigError naming the first bad one in table order. */
     void validate() const;
 };
 
@@ -101,6 +102,10 @@ inline constexpr unsigned kScheduleKeyKnobs =
  *  i64 and take integral values only; real knobs fold as f64. */
 enum class KnobType { Integer, Real };
 
+/** The values a knob accepts: Probability is [0, 1), Fraction is
+ *  (0, 1]. Any is for gate and reorder, whose axes parse names. */
+enum class KnobRange { Any, Positive, NonNegative, Probability, Fraction };
+
 /** One row of the knob table: a field of HardwareParams. */
 struct HardwareKnob
 {
@@ -108,6 +113,7 @@ struct HardwareKnob
      *  which only their own axes set. */
     const char *name;
     KnobType type;
+    KnobRange range;
     unsigned keys;                                 ///< KnobKeys flags
     double (*get)(const HardwareParams &hw);       ///< exact for integers
     void (*set)(HardwareParams &hw, double value); ///< after check()
@@ -115,6 +121,10 @@ struct HardwareKnob
     /** @throws ConfigError for an integer knob unless @p value is
      *          integral and at most INT_MAX in magnitude */
     void check(double value) const;
+
+    /** @throws ConfigError naming the key unless @p value lies in
+     *          the row's range (NaN lies in none but Any) */
+    void checkRange(double value) const;
 };
 
 namespace knob_detail
@@ -133,13 +143,14 @@ fieldOf(Params &hw)
 
 template <auto Member>
 constexpr HardwareKnob
-row(const char *name, unsigned keys)
+row(const char *name, KnobRange range, unsigned keys)
 {
     using T = std::remove_cvref_t<decltype(fieldOf<Member>(
         std::declval<HardwareParams &>()))>;
     return {name,
             std::is_floating_point_v<T> ? KnobType::Real
                                         : KnobType::Integer,
+            range,
             keys,
             [](const HardwareParams &hw) {
                 return static_cast<double>(fieldOf<Member>(hw));
@@ -151,6 +162,7 @@ row(const char *name, unsigned keys)
 
 using HP = HardwareParams;
 using STM = ShuttleTimeModel;
+using enum KnobRange;
 inline constexpr unsigned kGateTimes = kKnobSchedule | kKnobTables;
 
 } // namespace knob_detail
@@ -158,31 +170,35 @@ inline constexpr unsigned kGateTimes = kKnobSchedule | kKnobTables;
 /**
  * The knob table: one row per HardwareParams field (13 top-level, six
  * ShuttleTimeModel timings) in store-key order. The "params"
- * overrides, the stage keys, the ModelTables key and the store key all
- * derive from it.
+ * overrides and their ranges, HardwareParams::validate(), the stage
+ * keys, the ModelTables key and the store key all derive from it.
  */
 inline constexpr auto kHardwareKnobs = [] {
     using namespace knob_detail;
     return std::to_array<HardwareKnob>({
-        row<&HP::gateImpl>(nullptr, kGateTimes),
-        row<&HP::reorder>(nullptr, kKnobSchedule),
-        row<&HP::oneQubitUs>("one_qubit_us", kGateTimes),
-        row<&HP::measureUs>("measure_us", kGateTimes),
-        row<&HP::twoQubitFloorUs>("two_qubit_floor_us", kGateTimes),
-        row<&STM::movePerSegment>("move_per_segment_us", kKnobContext),
-        row<&STM::split>("split_us", kKnobContext),
-        row<&STM::merge>("merge_us", kKnobContext),
-        row<&STM::yJunction>("y_junction_us", kKnobContext),
-        row<&STM::xJunction>("x_junction_us", kKnobContext),
-        row<&STM::ionSwapRotation>("ion_swap_rotation_us", kKnobSchedule),
-        row<&HP::heatingK1>("heating_k1", kKnobTables),
-        row<&HP::heatingK2>("heating_k2", kKnobTables),
-        row<&HP::gammaPerS>("gamma_per_s", kKnobTables),
-        row<&HP::kappa>("kappa", kKnobTables),
-        row<&HP::oneQubitError>("one_qubit_error", kKnobTables),
-        row<&HP::measureError>("measure_error", kKnobTables),
-        row<&HP::bufferSlots>("buffer_slots", kKnobPlacement),
-        row<&HP::recoolFactor>("recool_factor", 0),
+        row<&HP::gateImpl>(nullptr, Any, kGateTimes),
+        row<&HP::reorder>(nullptr, Any, kKnobSchedule),
+        row<&HP::oneQubitUs>("one_qubit_us", Positive, kGateTimes),
+        row<&HP::measureUs>("measure_us", Positive, kGateTimes),
+        row<&HP::twoQubitFloorUs>("two_qubit_floor_us", Positive,
+                                  kGateTimes),
+        row<&STM::movePerSegment>("move_per_segment_us", Positive,
+                                  kKnobContext),
+        row<&STM::split>("split_us", Positive, kKnobContext),
+        row<&STM::merge>("merge_us", Positive, kKnobContext),
+        row<&STM::yJunction>("y_junction_us", Positive, kKnobContext),
+        row<&STM::xJunction>("x_junction_us", Positive, kKnobContext),
+        row<&STM::ionSwapRotation>("ion_swap_rotation_us", Positive,
+                                   kKnobSchedule),
+        row<&HP::heatingK1>("heating_k1", NonNegative, kKnobTables),
+        row<&HP::heatingK2>("heating_k2", NonNegative, kKnobTables),
+        row<&HP::gammaPerS>("gamma_per_s", NonNegative, kKnobTables),
+        row<&HP::kappa>("kappa", NonNegative, kKnobTables),
+        row<&HP::oneQubitError>("one_qubit_error", Probability,
+                                kKnobTables),
+        row<&HP::measureError>("measure_error", Probability, kKnobTables),
+        row<&HP::bufferSlots>("buffer_slots", NonNegative, kKnobPlacement),
+        row<&HP::recoolFactor>("recool_factor", Fraction, 0),
     });
 }();
 

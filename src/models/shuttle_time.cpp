@@ -15,12 +15,4 @@ ShuttleTimeModel::junctionCrossing(int degree) const
     return degree <= 3 ? yJunction : xJunction;
 }
 
-void
-ShuttleTimeModel::validate() const
-{
-    fatalUnless(movePerSegment > 0 && split > 0 && merge > 0 &&
-                yJunction > 0 && xJunction > 0 && ionSwapRotation > 0,
-                "all shuttle operation times must be positive");
-}
-
 } // namespace qccd

@@ -32,9 +32,6 @@ struct ShuttleTimeModel
 
     /** Junction crossing time by junction degree (<= 3 -> Y, else X). */
     TimeUs junctionCrossing(int degree) const;
-
-    /** Validate all durations are positive; throws ConfigError if not. */
-    void validate() const;
 };
 
 } // namespace qccd

@@ -193,11 +193,11 @@ expect_error "spec capacity 1" "cap1\.sweep:1:.*at least 2" \
     --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv"
 expect_error "spec capacity 1, keep-going" "cap1\.sweep:1:.*at least 2" \
     --sweep "$scratch/cap1.sweep" --out "$scratch/cap1.csv" --keep-going
-# A "params" value outside its model's range is such a bound too.
+# A "params" value outside its knob's range is such a bound too.
 echo '{"name": "x", "sweeps": [{"apps": "bv", "params": [{"kappa": -1}]}]}' \
     > "$scratch/badparam.sweep"
 want_status=1 expect_error "spec param out of range, keep-going" \
-    "badparam\.sweep:1:.*kappa must be non-negative" \
+    "badparam\.sweep:1:.*'kappa' must be non-negative" \
     --sweep "$scratch/badparam.sweep" --out "$scratch/badparam.csv" \
     --keep-going
 if [[ -e "$scratch/cap1.csv" || -e "$scratch/cap1.csv.errors" ||

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "models/fidelity.hpp"
+#include "models/params.hpp"
 
 namespace qccd
 {
@@ -25,7 +25,7 @@ TEST(Fidelity, EquationOneTerms)
 
 TEST(Fidelity, ScaleFactorGrowsAsNOverLogN)
 {
-    FidelityModel model(2.0, 1e-5);
+    FidelityModel model(2.0, 1e-5, 3e-5, 1e-3);
     const double a20 = model.scaleFactorA(20);
     const double a35 = model.scaleFactorA(35);
     // The paper reports about a 1.5x motional-error growth from
@@ -38,7 +38,7 @@ TEST(Fidelity, ScaleFactorGrowsAsNOverLogN)
 
 TEST(Fidelity, DecreasesWithDuration)
 {
-    FidelityModel model;
+    const FidelityModel model = HardwareParams{}.fidelityModel();
     double prev = 1.0;
     for (double tau : {50.0, 100.0, 400.0, 1600.0}) {
         const double f = model.twoQubitFidelity(tau, 10, 1.0);
@@ -49,7 +49,7 @@ TEST(Fidelity, DecreasesWithDuration)
 
 TEST(Fidelity, DecreasesWithMotionalEnergy)
 {
-    FidelityModel model;
+    const FidelityModel model = HardwareParams{}.fidelityModel();
     double prev = 1.0;
     for (double nbar : {0.0, 1.0, 10.0, 100.0}) {
         const double f = model.twoQubitFidelity(100.0, 10, nbar);
@@ -60,7 +60,7 @@ TEST(Fidelity, DecreasesWithMotionalEnergy)
 
 TEST(Fidelity, TotalErrorClampedToOne)
 {
-    FidelityModel model(2.0, 1.0); // absurd kappa
+    FidelityModel model(2.0, 1.0, 3e-5, 1e-3); // absurd kappa
     const GateErrorBreakdown err =
         model.twoQubitError(100.0, 30, 1000.0);
     EXPECT_DOUBLE_EQ(err.total(), 1.0);
@@ -74,17 +74,9 @@ TEST(Fidelity, ConstantRates)
     EXPECT_DOUBLE_EQ(model.measureFidelity(), 1.0 - 5e-3);
 }
 
-TEST(Fidelity, BadParametersRejected)
-{
-    EXPECT_THROW(FidelityModel(-1.0), ConfigError);
-    EXPECT_THROW(FidelityModel(2.0, -1e-5), ConfigError);
-    EXPECT_THROW(FidelityModel(2.0, 1e-5, 1.5), ConfigError);
-    EXPECT_THROW(FidelityModel(2.0, 1e-5, 1e-4, -0.1), ConfigError);
-}
-
 TEST(Fidelity, InvalidQueriesPanic)
 {
-    FidelityModel model;
+    const FidelityModel model = HardwareParams{}.fidelityModel();
     EXPECT_THROW(model.twoQubitError(-1.0, 10, 0.0), InternalError);
     EXPECT_THROW(model.twoQubitError(100.0, 10, -1.0), InternalError);
     EXPECT_THROW(model.scaleFactorA(1), InternalError);
@@ -98,7 +90,7 @@ class FidelityChainProperty : public ::testing::TestWithParam<int>
 TEST_P(FidelityChainProperty, MotionalErrorGrowsWithChainLength)
 {
     const int n = GetParam();
-    FidelityModel model;
+    const FidelityModel model = HardwareParams{}.fidelityModel();
     // N/ln(N) is increasing for N >= 3 (it dips between 2 and e).
     if (n >= 3) {
         EXPECT_GT(model.scaleFactorA(n + 1), model.scaleFactorA(n));

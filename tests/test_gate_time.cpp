@@ -3,16 +3,25 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "models/gate_time.hpp"
+#include "models/params.hpp"
 
 namespace qccd
 {
 namespace
 {
 
+/** The model of @p impl at HardwareParams' default times. */
+GateTimeModel
+modelOf(GateImpl impl)
+{
+    HardwareParams hw;
+    hw.gateImpl = impl;
+    return hw.gateTimeModel();
+}
+
 TEST(GateTime, Am1MatchesPaperFit)
 {
-    GateTimeModel model(GateImpl::AM1);
+    const GateTimeModel model = modelOf(GateImpl::AM1);
     // tau(d) = 100*d - 22
     EXPECT_DOUBLE_EQ(model.twoQubit(1, 10), 78.0);
     EXPECT_DOUBLE_EQ(model.twoQubit(3, 10), 278.0);
@@ -21,7 +30,7 @@ TEST(GateTime, Am1MatchesPaperFit)
 
 TEST(GateTime, Am2MatchesPaperFit)
 {
-    GateTimeModel model(GateImpl::AM2);
+    const GateTimeModel model = modelOf(GateImpl::AM2);
     // tau(d) = 38*d + 10
     EXPECT_DOUBLE_EQ(model.twoQubit(1, 10), 48.0);
     EXPECT_DOUBLE_EQ(model.twoQubit(5, 10), 200.0);
@@ -29,7 +38,7 @@ TEST(GateTime, Am2MatchesPaperFit)
 
 TEST(GateTime, PmMatchesPaperFit)
 {
-    GateTimeModel model(GateImpl::PM);
+    const GateTimeModel model = modelOf(GateImpl::PM);
     // tau(d) = 5*d + 160
     EXPECT_DOUBLE_EQ(model.twoQubit(1, 10), 165.0);
     EXPECT_DOUBLE_EQ(model.twoQubit(8, 10), 200.0);
@@ -37,7 +46,7 @@ TEST(GateTime, PmMatchesPaperFit)
 
 TEST(GateTime, FmMatchesPaperFit)
 {
-    GateTimeModel model(GateImpl::FM);
+    const GateTimeModel model = modelOf(GateImpl::FM);
     // tau(N) = max(13.33*N - 54, 100): constant 100 below ~12 ions.
     EXPECT_DOUBLE_EQ(model.twoQubit(1, 5), 100.0);
     EXPECT_DOUBLE_EQ(model.twoQubit(3, 11), 100.0);
@@ -47,7 +56,7 @@ TEST(GateTime, FmMatchesPaperFit)
 
 TEST(GateTime, FmIgnoresSeparation)
 {
-    GateTimeModel model(GateImpl::FM);
+    const GateTimeModel model = modelOf(GateImpl::FM);
     for (int d = 1; d < 20; ++d)
         EXPECT_DOUBLE_EQ(model.twoQubit(d, 20), model.twoQubit(1, 20));
 }
@@ -55,7 +64,7 @@ TEST(GateTime, FmIgnoresSeparation)
 TEST(GateTime, AmPmIgnoreChainLength)
 {
     for (GateImpl impl : {GateImpl::AM1, GateImpl::AM2, GateImpl::PM}) {
-        GateTimeModel model(impl);
+        const GateTimeModel model = modelOf(impl);
         for (int n = 4; n <= 30; n += 2)
             EXPECT_DOUBLE_EQ(model.twoQubit(3, n), model.twoQubit(3, 4))
                 << gateImplName(impl);
@@ -64,7 +73,7 @@ TEST(GateTime, AmPmIgnoreChainLength)
 
 TEST(GateTime, InvalidGeometryPanics)
 {
-    GateTimeModel model(GateImpl::FM);
+    const GateTimeModel model = modelOf(GateImpl::FM);
     EXPECT_THROW(model.twoQubit(0, 5), InternalError);
     EXPECT_THROW(model.twoQubit(1, 1), InternalError);
     EXPECT_THROW(model.twoQubit(5, 5), InternalError);
@@ -78,14 +87,6 @@ TEST(GateTime, NamesRoundTrip)
     EXPECT_THROW(gateImplFromName("??"), ConfigError);
 }
 
-TEST(GateTime, BadConstructionRejected)
-{
-    EXPECT_THROW(GateTimeModel(GateImpl::FM, -1.0), ConfigError);
-    EXPECT_THROW(GateTimeModel(GateImpl::FM, 5.0, 0.0), ConfigError);
-    EXPECT_THROW(GateTimeModel(GateImpl::FM, 5.0, 150.0, -2.0),
-                 ConfigError);
-}
-
 /** Property sweep: durations are positive and monotone in distance. */
 class GateTimeProperty : public ::testing::TestWithParam<GateImpl>
 {
@@ -93,7 +94,7 @@ class GateTimeProperty : public ::testing::TestWithParam<GateImpl>
 
 TEST_P(GateTimeProperty, PositiveAndMonotone)
 {
-    GateTimeModel model(GetParam());
+    const GateTimeModel model = modelOf(GetParam());
     for (int n = 4; n <= 34; n += 3) {
         double prev = 0;
         for (int d = 1; d < n; ++d) {
@@ -107,7 +108,7 @@ TEST_P(GateTimeProperty, PositiveAndMonotone)
 
 TEST_P(GateTimeProperty, MonotoneInChainLengthForFm)
 {
-    GateTimeModel model(GetParam());
+    const GateTimeModel model = modelOf(GetParam());
     double prev = 0;
     for (int n = 4; n <= 34; ++n) {
         const double tau = model.twoQubit(1, n);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "models/heating.hpp"
+#include "models/params.hpp"
 
 namespace qccd
 {
@@ -12,7 +12,7 @@ namespace
 
 TEST(Heating, DefaultsMatchPaper)
 {
-    HeatingModel model;
+    const HeatingModel model = HardwareParams{}.heatingModel();
     EXPECT_DOUBLE_EQ(model.k1(), 0.1);
     EXPECT_DOUBLE_EQ(model.k2(), 0.01);
 }
@@ -71,15 +71,9 @@ TEST(Heating, JunctionAddsK2)
     EXPECT_DOUBLE_EQ(model.afterJunction(0.5), 0.51);
 }
 
-TEST(Heating, NegativeConstantsRejected)
-{
-    EXPECT_THROW(HeatingModel(-0.1, 0.01), ConfigError);
-    EXPECT_THROW(HeatingModel(0.1, -0.01), ConfigError);
-}
-
 TEST(Heating, InvalidSplitArgsPanic)
 {
-    HeatingModel model;
+    HeatingModel model(0.1, 0.01);
     EXPECT_THROW(model.afterSplit(1.0, 0, 1), InternalError);
     EXPECT_THROW(model.afterSplit(-1.0, 1, 1), InternalError);
     EXPECT_THROW(model.afterMove(1.0, -1), InternalError);

@@ -208,9 +208,9 @@ TEST(LintSweep, ParamsOutsideTheirModelRange)
     ASSERT_EQ(bad.size(), 3u) << report.toString();
     EXPECT_EQ(report.errorCount(), 3u) << report.toString();
     const std::pair<int, const char *> want[] = {
-        {23, "kappa must be non-negative"},
-        {45, "buffer slots must be non-negative"},
-        {68, "recool factor must be in (0, 1]"}};
+        {23, "parameter 'kappa' must be non-negative"},
+        {45, "parameter 'buffer_slots' must be non-negative"},
+        {68, "parameter 'recool_factor' must be in (0, 1]"}};
     for (size_t i = 0; i < bad.size(); ++i) {
         EXPECT_EQ(bad[i]->line, 2) << i;
         EXPECT_EQ(bad[i]->column, want[i].first) << i;

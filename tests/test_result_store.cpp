@@ -272,7 +272,6 @@ TEST(ResultStore, KeySeesEveryKnobAndIgnoresNonResultFields)
     // Nothing that cannot change the emitted metrics enters the key.
     o = options;
     o.pointTimeoutMs = 5000;
-    o.collectTrace = true;
     o.cachePath = "/somewhere/else.qcache";
     EXPECT_EQ(ResultStore::keyFor(design, o, digest), base);
 }

@@ -37,17 +37,5 @@ TEST(ShuttleTime, DegreeBelowTwoPanics)
     EXPECT_THROW(model.junctionCrossing(1), InternalError);
 }
 
-TEST(ShuttleTime, ValidateRejectsNonPositive)
-{
-    ShuttleTimeModel model;
-    model.split = 0;
-    EXPECT_THROW(model.validate(), ConfigError);
-    model.split = 80;
-    model.ionSwapRotation = -1;
-    EXPECT_THROW(model.validate(), ConfigError);
-    model.ionSwapRotation = 50;
-    EXPECT_NO_THROW(model.validate());
-}
-
 } // namespace
 } // namespace qccd

@@ -237,21 +237,21 @@ TEST(SweepSpecParse, SchemaErrorsAreCleanAndPositioned)
         "spec:1:55: trap capacity must be at least 2, got 1");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft", "buffer": -1}]})",
-        "spec:1:52: buffer slots must be non-negative, got -1");
-    // So do "params" values outside their model's range, each checked
+        "spec:1:52: parameter 'buffer_slots' must be non-negative");
+    // So do "params" values outside their knob's range, each checked
     // on its own at the value's position.
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "params": {"kappa": -1}}]})",
-        "spec:1:62: kappa must be non-negative");
+        "spec:1:62: parameter 'kappa' must be non-negative");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "params": {"buffer_slots": -3}}]})",
-        "spec:1:69: buffer slots must be non-negative");
+        "spec:1:69: parameter 'buffer_slots' must be non-negative");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "params": {"recool_factor": 2}}]})",
-        "spec:1:70: recool factor must be in (0, 1]");
+        "spec:1:70: parameter 'recool_factor' must be in (0, 1]");
     expectParseError(
         R"({"name": "x", "sweeps": [{"apps": "qft",)"
         R"( "params": {"bogus_knob": 1}}]})",
